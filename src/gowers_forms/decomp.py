@@ -18,7 +18,6 @@ from .rankbias import (
     Factor,
     PrankCertificate,
     Provenance,
-    RankProxyPolicy,
     bias,
     expand_term,
     expand_terms,
@@ -32,15 +31,6 @@ from .rankbias import (
 
 def canon_partition(blocks) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(sorted(int(v) for v in b)) for b in blocks))
-
-
-def is_partition(blocks, k: int) -> bool:
-    seen = []
-    for b in blocks:
-        if not b:
-            return False
-        seen.extend(b)
-    return sorted(seen) == list(range(k))
 
 
 def all_partitions(k: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -239,7 +229,6 @@ def extract_coefficients(
     groups,
     spurious,
     target: MultilinearForm,
-    policy: RankProxyPolicy | None = None,
     budget: int = 1 << 20,
     seed: int = 0,
 ) -> dict[tuple[int, ...], int | None]:
@@ -371,10 +360,11 @@ def change_basis_forms(
 ) -> ChangeBasisResult:
     """Change of basis for sum_i beta_i(x_I) gamma_i(x_J) with explicit forms.
 
-    Returns combinations such that the product sum is preserved exactly (an
-    assertion, checked at the coefficient-tensor level) and each surviving
-    tilde_gamma has a witness point hitting the delta pattern.  Witnesses are
-    reported as lists of vectors over the gamma block in enumeration order.
+    Returns combinations such that the product sum is preserved exactly
+    (checked at the coefficient-tensor level; a failure raises
+    CertificateInvalid) and each surviving tilde_gamma has a witness point
+    hitting the delta pattern.  Witnesses are reported as lists of vectors
+    over the gamma block in enumeration order.
     """
     if len(betas) != len(gammas):
         raise DimensionMismatch("need equally many betas and gammas")
@@ -398,12 +388,14 @@ def change_basis_forms(
         for j in range(r):
             if cb.gamma_combos[j, i]:
                 acc = acc + gammas[j]
-        assert acc.is_zero(), "trailing gamma combination should vanish"
+        if not acc.is_zero():
+            raise CertificateInvalid("change of basis: a discarded gamma combination is nonzero")
     # exact product-sum equality
     ki = betas[0].arity
     left = _product_sum(betas, gammas, ki, kj, n)
     right = _product_sum(cb.tilde_betas, tilde_gammas, ki, kj, n)
-    assert np.array_equal(left, right), "product sum must be preserved"
+    if not np.array_equal(left, right):
+        raise CertificateInvalid("change of basis does not preserve the product sum")
     witnesses = []
     for col in cb.witnesses:
         ints = np.unravel_index(col, (1 << n,) * kj)
@@ -457,7 +449,6 @@ def slice_rewrite(
     phi: MultilinearForm,
     cert: PrankCertificate,
     p: DownSet,
-    policy: RankProxyPolicy | None = None,
     budget: int = 1 << 22,
     phi_id: str = "phi",
 ) -> PrankCertificate:
@@ -571,5 +562,6 @@ def slice_rewrite(
                 "slice_rewrite", "output partition escaped the down-set",
                 diagnostics={"partition": term_partition(term)},
             )
-    assert verify_certificate(out)
+    if not verify_certificate(out):
+        raise CertificateInvalid("slice_rewrite output does not verify")
     return out

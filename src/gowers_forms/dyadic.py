@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import StepFailed
+
 
 @dataclass(frozen=True)
 class Dyadic:
@@ -53,9 +55,6 @@ class Dyadic:
     def __mul__(self, other: "Dyadic") -> "Dyadic":
         return Dyadic(self.num * other.num, self.log2_den + other.log2_den)
 
-    def _cmp_key(self):
-        return self.as_fraction()
-
     def __lt__(self, other):
         return self.as_fraction() < _coerce(other)
 
@@ -97,7 +96,8 @@ def log2_bracket(x: Fraction, precision_bits: int = 24) -> tuple[Fraction, Fract
     lo = scaled_num // scaled_den
     hi = lo + (0 if scaled_num % scaled_den == 0 else 1)
     one, two = 1 << P, 2 << P
-    assert one <= lo <= hi <= two
+    if not one <= lo <= hi <= two:
+        raise StepFailed("log2_bracket", "mantissa bracket escaped [1, 2]")
     if lo == hi == one:
         return (Fraction(e), Fraction(e))
     frac_lo = Fraction(0)

@@ -1,8 +1,7 @@
 """Exception types shared across the package.
 
 Infeasibility of a linear system is reported by ``gf2.solve`` returning
-``None``; the :class:`Infeasible` exception is reserved for operations whose
-contract is to *construct* something (e.g. the counterexample builder).
+``None``, not by an exception.
 """
 
 
@@ -12,10 +11,6 @@ class GowersFormsError(Exception):
 
 class DimensionMismatch(GowersFormsError):
     """Operands live in incompatible spaces (wrong dim or arity)."""
-
-
-class Infeasible(GowersFormsError):
-    """A construction's underlying linear system has no solution."""
 
 
 class NotSymmetric(GowersFormsError):
@@ -43,28 +38,7 @@ class SolverFailed(GowersFormsError):
 
 
 class CertificateInvalid(GowersFormsError):
-    """A supplied decomposition certificate does not verify."""
-
-
-class WitnessNotFound(GowersFormsError):
-    """No point satisfying the requested constraints was found."""
-
-    def __init__(self, message, trials=0, hypothesis_ok=None):
-        super().__init__(message)
-        self.trials = trials
-        self.hypothesis_ok = hypothesis_ok
-
-
-class PolicyUndecided(GowersFormsError):
-    """The rank-proxy policy could not decide a rank question."""
-
-
-class EqualityViolated(GowersFormsError):
-    """A coefficient equality asserted by a driver failed."""
-
-    def __init__(self, message, detail=None):
-        super().__init__(message)
-        self.detail = detail
+    """A decomposition certificate, supplied or constructed, does not verify."""
 
 
 class StepFailed(GowersFormsError):

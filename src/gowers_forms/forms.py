@@ -378,6 +378,12 @@ def truth_table(f: MultilinearForm) -> np.ndarray:
     """
     if f.arity * f.dim > 24:
         raise SizeGuard("truth table too large")
+    return evaluation_table(f)
+
+
+def evaluation_table(f: MultilinearForm) -> np.ndarray:
+    """``truth_table`` without its size guard, for callers that bound 2^{nk}
+    by their own budget."""
     ev = gf2.all_vectors(f.dim).astype(np.int64)  # (2^n, n)
     t = f.coeffs.astype(np.int64)
     for _ in range(f.arity):

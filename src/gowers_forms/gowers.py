@@ -2,17 +2,18 @@
 functionals against multilinear forms.
 
 Phases are exact dyadic angles (a TorusFunction t encodes x -> e^{2*pi*i*t}).
-Sign-valued functions (denominator 2) run entirely on integer accumulation;
-general dyadic phases accumulate exact histograms of roots of unity and touch
-floating point only in one final trigonometric dot product, whose error bound
-is reported.
+Correlation, the U^k norms and the form spectrum run on one engine: the
+batched tables g_p = Delta_p f over every prefix p of shifts, read through
+sum_a (-1)^{l.a} sum_x g_p(x + a) conj g_p(x) = |g_p^(l)|^2.  A phase with
+denominator 2^m takes values in Z[zeta], zeta = e^{2*pi*i/2^m}; every sum is
+held exactly as int64 coefficients over the basis 1, zeta, ..., zeta^{L-1}
+(L = 2^{m-1}, zeta^L = -1; L = 1 for +-1).  A value is rational exactly when
+its coefficients past the first vanish, and is then reported as a Fraction.
+Floats come from one final dot product, whose error bound is reported.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,22 +21,16 @@ import numpy as np
 
 from . import forms, gf2
 from .dyadic import Dyadic
-from .errors import BudgetExceeded, DimensionMismatch, SizeGuard
+from .errors import BudgetExceeded, DimensionMismatch, SizeGuard, StepFailed
 from .forms import MultilinearForm
-from .nonclassical import NonClassicalPoly, TorusFunction, poly_to_table
+from .nonclassical import NonClassicalPoly, TorusFunction, derivative_tables, poly_to_table
 from .rankbias import PrankCertificate, bias, require_valid
 
 DEFAULT_BITS_BUDGET = 26
 
 _EPS = float(np.finfo(np.float64).eps)
 
-
-def thread_count() -> int:
-    """Worker override for embarrassingly parallel loops (>= 1)."""
-    try:
-        return max(1, int(os.environ.get("GOWERS_FORMS_THREADS", "1")))
-    except ValueError:
-        return 1
+_INT64_BITS = 62  # exact sums whose l1 norm stays below 2^62 fit in int64
 
 
 @dataclass(frozen=True)
@@ -68,13 +63,6 @@ class PhaseFunction:
     @property
     def is_pm1(self) -> bool:
         return self.phases.log2_den <= 1
-
-    def signs(self) -> np.ndarray:
-        if not self.is_pm1:
-            raise DimensionMismatch("phase table is not +-1 valued")
-        if self.phases.log2_den == 0:
-            return np.ones(1 << self.n, dtype=np.int64)
-        return 1 - 2 * self.phases.nums
 
     def complex_table(self) -> np.ndarray:
         m = self.phases.log2_den
@@ -119,132 +107,125 @@ def restrict_phase(f: PhaseFunction, u: gf2.Subspace, shift=None) -> "PhaseFunct
     )
 
 
+# ---------------------------------------------------------------------------
+# exact character sums over Z[zeta]
+# ---------------------------------------------------------------------------
+
+
+def _zeta_level(f: PhaseFunction) -> int:
+    """L = 2^{m-1} for the phase's 2^m-th roots of unity (L = 1 for +-1)."""
+    return 1 << (max(f.phases.log2_den, 1) - 1)
+
+
+def _require_int64(bits: int, what: str) -> None:
+    if bits > _INT64_BITS:
+        raise BudgetExceeded(f"{what}: exact sums reach 2^{bits}, beyond int64")
+
+
+def _char_sums(exponents: np.ndarray, level: int) -> np.ndarray:
+    """Row sums of zeta^exponents, read off an exponent histogram."""
+    rows = exponents.shape[0]
+    keys = exponents % (2 * level)
+    keys += np.arange(rows)[:, None] * (2 * level)
+    hist = np.bincount(keys.ravel(), minlength=rows * 2 * level).reshape(rows, 2 * level)
+    return hist[:, :level] - hist[:, level:]  # zeta^{j+L} = -zeta^j
+
+
+def _zeta_powers(exponents: np.ndarray, level: int) -> np.ndarray:
+    """zeta^exponents as one-hot +-1 coefficient vectors (trailing axis L)."""
+    e = exponents % (2 * level)
+    return (e[..., None] % level == np.arange(level)) * np.where(e < level, 1, -1)[..., None]
+
+
+def _conj(c: np.ndarray) -> np.ndarray:
+    """Complex conjugate: zeta^{-j} = -zeta^{L-j} for 0 < j < L."""
+    out = -np.roll(c[..., ::-1], 1, axis=-1)
+    out[..., 0] = c[..., 0]
+    return out
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product in Z[zeta]: a negacyclic convolution of the coefficients."""
+    level = a.shape[-1]
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+    for j in range(level):
+        # zeta^j * b: coefficients move up by j, those passing zeta^L flip sign
+        out[..., j:] += a[..., j : j + 1] * b[..., : level - j]
+        out[..., :j] -= a[..., j : j + 1] * b[..., level - j :]
+    return out
+
+
+def _real_values(s: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Floats of the real numbers s / 2^bits (s: coefficients on the last
+    axis), their error bounds, and which are rational.  cos(pi j / L) is
+    within (pi + 1) eps (its argument carries pi's rounding), s_j and each
+    product round by eps / 2 and the L-term sum adds (L - 1) eps / 2 of
+    sum |terms|, so (L + 6) eps ||s||_1 bounds the error."""
+    level = s.shape[-1]
+    scale = 2.0**-bits
+    rational = ~s[..., 1:].any(axis=-1)
+    value = (s @ np.cos(np.pi * np.arange(level) / level)) * scale
+    bound = (level + 6) * _EPS * np.abs(s).sum(axis=-1) * scale
+    return value, np.where(rational, 0.0, bound), rational
+
+
+def _real_value(total: np.ndarray, bits: int) -> tuple[float, float, Fraction | None]:
+    """(float, error bound, Fraction or None) of one real number total / 2^bits."""
+    value, err, rational = _real_values(total, bits)
+    if rational:
+        exact = Fraction(int(total[0]), 1 << bits)
+        return float(exact), 0.0, exact
+    return float(value), float(err), None
+
+
 @dataclass(frozen=True)
 class NormResult:
+    """The U^k norm and its 2^k-th power.  ``power_exact`` is a Fraction
+    whenever the exact power in Z[zeta] is rational (always for +-1 phases,
+    and e.g. bias(sigma) for an integral of sigma), else None; ``err`` bounds
+    the error of ``power`` and is 0 when it is exact."""
+
     value: float  # the norm (2^k-th root)
     err: float
     power: float  # the 2^k-th power of the norm
-    power_exact: Fraction | None = None  # exact when the +-1 path applies
+    power_exact: Fraction | None = None
 
     def exact_one(self) -> bool:
         return self.power_exact == 1
 
 
-def _roots_table(m: int) -> np.ndarray:
-    angles = 2.0 * np.pi * np.arange(1 << m) / (1 << m)
-    return np.cos(angles) + 1j * np.sin(angles)
-
-
-def gowers_norm(
-    f: PhaseFunction, k: int, method: str = "naive", budget_bits: int = DEFAULT_BITS_BUDGET
-) -> NormResult:
-    """Uniformity norm of order k >= 1 via full enumeration of derivative
-    tables ("naive") or the one-variable averaging recursion ("recursive")."""
+def gowers_norm(f: PhaseFunction, k: int, budget_bits: int = DEFAULT_BITS_BUDGET) -> NormResult:
+    """Uniformity norm of order k >= 1: with g_p over prefixes p of k - 2
+    shifts, ||f||_{U^k}^{2^k} = 2^{-(k+2)n} sum_p sum_l |g_p^(l)|^4 for k >= 2,
+    and |f^(0)|^2 / 4^n for k = 1."""
     if k < 1:
         raise DimensionMismatch("norm order must be >= 1")
-    if (k + 1) * f.n > budget_bits:
+    n = f.n
+    if (k + 1) * n > budget_bits:
         raise BudgetExceeded("norm enumeration exceeds the bit budget")
-    if method == "naive":
-        return _gowers_naive(f, k)
-    if method == "recursive":
-        return _gowers_recursive(f, k)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _gowers_naive(f: PhaseFunction, k: int) -> NormResult:
-    n = f.n
-    total_tuples = 1 << ((k + 1) * n)
-    if f.is_pm1:
-        signs = f.signs()
-        idx = np.arange(signs.size)
-
-        def rec(table: np.ndarray, depth: int) -> int:
-            if depth == 0:
-                return int(table.sum())
-            return sum(rec(table[idx ^ a] * table, depth - 1) for a in range(table.size))
-
-        workers = thread_count()
-        if workers > 1 and k >= 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                partials = pool.map(
-                    lambda a: rec(signs[idx ^ a] * signs, k - 1), range(signs.size)
-                )
-                total = sum(partials)  # ordered reduction: schedule independent
-        else:
-            total = rec(signs, k)
-        power = Fraction(total, total_tuples)
-        assert 0 <= power <= 1
-        return NormResult(float(power) ** (1.0 / (1 << k)), 0.0, float(power), power)
-    m = f.phases.log2_den
-    counts = np.zeros(1 << m, dtype=np.int64)
-    mod = 1 << m
-
-    def rec_phase(nums: np.ndarray, depth: int):
-        if depth == 0:
-            counts_local = np.bincount(nums, minlength=mod)
-            counts[: counts_local.size] += counts_local
-            return
-        idx = np.arange(nums.size)
-        for a in range(nums.size):
-            rec_phase((nums[idx ^ a] - nums) % mod, depth - 1)
-
-    rec_phase(f.phases.nums, k)
-    z = complex(counts @ _roots_table(m))
-    err = 4.0 * _EPS * total_tuples
-    power = max(z.real, 0.0) / total_tuples
-    return NormResult(power ** (1.0 / (1 << k)), err / total_tuples, power, None)
-
-
-def _gowers_recursive(f: PhaseFunction, k: int) -> NormResult:
-    n = f.n
-    if f.is_pm1:
-        signs = f.signs()
-
-        def upow(table: np.ndarray, order: int) -> Fraction:
-            if order == 1:
-                s = int(table.sum())
-                return Fraction(s * s, 1 << (2 * n))
-            idx = np.arange(table.size)
-            acc = Fraction(0)
-            for a in range(table.size):
-                acc += upow(table[idx ^ a] * table, order - 1)
-            return acc / (1 << n)
-
-        power = upow(signs, k)
-        return NormResult(float(power) ** (1.0 / (1 << k)), 0.0, float(power), power)
-    mod = 1 << f.phases.log2_den
-    roots = _roots_table(f.phases.log2_den)
-
-    def upow_phase(nums: np.ndarray, order: int) -> float:
-        if order == 1:
-            z = complex(roots[nums].sum())
-            return abs(z) ** 2 / (1 << (2 * n))
-        idx = np.arange(nums.size)
-        return sum(
-            upow_phase((nums[idx ^ a] - nums) % mod, order - 1) for a in range(nums.size)
-        ) / (1 << n)
-
-    power = upow_phase(f.phases.nums, k)
-    err = 8.0 * _EPS * (1 << ((k + 1) * n)) / (1 << ((k + 1) * n))
-    return NormResult(max(power, 0.0) ** (1.0 / (1 << k)), err, power, None)
-
-
-def u2_norm_fourier(f: PhaseFunction) -> float:
-    """U^2 norm from the Walsh spectrum: the fourth moment of |f hat|."""
-    table = f.complex_table()
-    spec = walsh_hadamard(table) / (1 << f.n)
-    return float(np.sum(np.abs(spec) ** 4)) ** 0.25
+    _require_int64((k + 3) * n, "U^k power")
+    level = _zeta_level(f)
+    if k == 1:
+        fhat = _char_sums(f.phases.nums[None, :], level)[0]
+        total, bits = _mul(fhat, _conj(fhat)), 2 * n
+    else:
+        g = derivative_tables(f.phases, k - 2)
+        ghat = walsh_hadamard(_zeta_powers(g.T, level))
+        square = _mul(ghat, _conj(ghat))
+        total, bits = _mul(square, square).sum(axis=(0, 1)), (k + 2) * n
+    power, err, exact = _real_value(total, bits)
+    return NormResult(max(power, 0.0) ** (1.0 / (1 << k)), err, power, exact)
 
 
 def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
-    v = vec.astype(np.complex128 if np.iscomplexobj(vec) else np.int64).copy()
+    """Unnormalised Walsh-Hadamard transform along axis 0 (length 2^n);
+    trailing axes are transformed independently."""
+    v = np.array(vec, dtype=np.complex128 if np.iscomplexobj(vec) else np.int64)
+    size = v.shape[0]
     h = 1
-    while h < v.size:
-        for i in range(0, v.size, h * 2):
-            a = v[i : i + h].copy()
-            b = v[i + h : i + 2 * h].copy()
-            v[i : i + h] = a + b
-            v[i + h : i + 2 * h] = a - b
+    while h < size:
+        w = v.reshape(size // (2 * h), 2, h, *v.shape[1:])
+        w[:, 0], w[:, 1] = w[:, 0] + w[:, 1], w[:, 0] - w[:, 1]
         h *= 2
     return v
 
@@ -261,45 +242,37 @@ def box_norm(table: np.ndarray, budget: int = 1 << 22) -> float:
 
 
 def box_power(table: np.ndarray, budget: int = 1 << 22) -> float:
-    k = table.ndim
-    sizes = table.shape
-    pairs = 1
-    for s in sizes:
-        pairs *= s * s
-    if pairs * (1 << k) > budget:
-        raise BudgetExceeded("box norm enumeration exceeds budget")
-    total = 0.0 + 0.0j
-    for xy in np.ndindex(*(s for s in sizes for _ in (0, 1))):
-        x = xy[0::2]
-        y = xy[1::2]
-        prod = 1.0 + 0.0j
-        for bits in range(1 << k):
-            idx = tuple(x[i] if (bits >> i) & 1 else y[i] for i in range(k))
-            v = table[idx]
-            prod *= v.conjugate() if bin(bits).count("1") % 2 else v
-        total += prod
-    return (total / pairs).real
+    table = np.asarray(table)
+    corners = {bits: table for bits in range(1 << table.ndim)}
+    return box_mixed_average(corners, table.shape, budget).real
 
 
 def box_mixed_average(tables: dict, shape, budget: int = 1 << 22) -> complex:
-    """The Gowers-Cauchy-Schwarz mixed average: one table per subset of axes."""
+    """The Gowers-Cauchy-Schwarz mixed average: one table per subset of axes.
+    Corner ``bits`` reads axis i at x_i if bit i is set, else at y_i, and is
+    conjugated when it has an odd number of set bits."""
     k = len(shape)
     pairs = 1
     for s in shape:
         pairs *= s * s
     if pairs * (1 << k) > budget:
         raise BudgetExceeded("mixed average enumeration exceeds budget")
-    total = 0.0 + 0.0j
-    for xy in np.ndindex(*(s for s in shape for _ in (0, 1))):
-        x = xy[0::2]
-        y = xy[1::2]
-        prod = 1.0 + 0.0j
-        for bits in range(1 << k):
-            idx = tuple(x[i] if (bits >> i) & 1 else y[i] for i in range(k))
-            v = tables[bits][idx]
-            prod *= v.conjugate() if bin(bits).count("1") % 2 else v
-        total += prod
-    return total / pairs
+    corners = []
+    for bits in range(1 << k):
+        t = np.asarray(tables[bits], dtype=np.complex128)
+        corners.append((t.conj() if bin(bits).count("1") % 2 else t)[None])
+    # einsum takes at most 31 operands: fold the first box axis of paired
+    # corners into the leading index that all corners share
+    while len(corners) > 16:
+        corners = [
+            (hi[:, :, None] * lo[:, None, :]).reshape(-1, *hi.shape[2:])
+            for lo, hi in zip(corners[0::2], corners[1::2])
+        ]
+    axes = corners[0].ndim - 1
+    operands = []
+    for bits, c in enumerate(corners):
+        operands += [c, [0] + [1 + 2 * i + ((bits >> i) & 1) for i in range(axes)]]
+    return complex(np.einsum(*operands, [])) / pairs
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +282,11 @@ def box_mixed_average(tables: dict, shape, budget: int = 1 << 22) -> complex:
 
 @dataclass(frozen=True)
 class CorrelationReport:
+    """E over x and k shifts of the k-fold derivative of f times
+    (-1)^{alpha(shifts)}, a real number >= 0.  ``exact`` is a Fraction whenever
+    the exact value in Z[zeta] is rational (always for +-1 phases, and 1 for an
+    integral of alpha), else None; ``err`` bounds the error of ``value``."""
+
     value: complex
     err: float
     exact: Fraction | None
@@ -322,58 +300,32 @@ class CorrelationReport:
 def correlation(
     f: PhaseFunction, alpha: MultilinearForm, budget_bits: int = DEFAULT_BITS_BUDGET
 ) -> CorrelationReport:
-    """E over x and shifts of the k-fold derivative of f at x times the sign
-    of alpha at the shifts; exact rational for +-1-valued f."""
+    """2^{-(k+1)n} sum_p |g_p^(l_p)|^2 over prefixes p of k - 1 shifts, with
+    l_p = alpha(p, .) read from a histogram of the exponents of g_p(x) (-1)^{l_p.x}."""
     if alpha.dim != f.n:
         raise DimensionMismatch("form and function dimensions differ")
     k, n = alpha.arity, f.n
-    if (k + 1) * n > budget_bits:
+    bits = (k + 1) * n
+    if bits > budget_bits:
         raise BudgetExceeded("correlation enumeration exceeds the bit budget")
-    total_tuples = 1 << ((k + 1) * n)
-    vec_cache = gf2.all_vectors(n).astype(np.int64)
-    if f.is_pm1:
-        signs = f.signs()
+    _require_int64(bits, "correlation")
+    level = _zeta_level(f)
+    exponents = derivative_tables(f.phases, k - 1)
+    signs = forms.evaluation_table(alpha).reshape(exponents.shape).astype(bool)
+    exponents[signs] += level  # (-1)^{l_p.x} = zeta^{L * alpha(p, x)}
+    ghat = _char_sums(exponents, level)
+    value, err, exact = _real_value(_mul(ghat, _conj(ghat)).sum(axis=0), bits)
+    return CorrelationReport(complex(value), err, exact, k, n)
 
-        def rec(table: np.ndarray, tensor: np.ndarray, depth: int) -> int:
-            if depth == k:
-                s = int(table.sum())
-                return -s if int(tensor) else s
-            idx = np.arange(table.size)
-            out = 0
-            for a in range(table.size):
-                out += rec(
-                    table[idx ^ a] * table,
-                    np.tensordot(vec_cache[a], tensor, axes=([0], [0])) % 2,
-                    depth + 1,
-                )
-            return out
 
-        total = rec(signs, alpha.coeffs.astype(np.int64), 0)
-        exact = Fraction(total, total_tuples)
-        return CorrelationReport(complex(float(exact)), 0.0, exact, k, n)
-    m = max(f.phases.log2_den, 1)
-    mod = 1 << m
-    scaled = f.phases.nums << (m - f.phases.log2_den)
-    counts = np.zeros(mod, dtype=np.int64)
-
-    def rec_phase(nums: np.ndarray, tensor: np.ndarray, depth: int):
-        if depth == k:
-            flip = (mod >> 1) if int(tensor) else 0
-            local = np.bincount((nums + flip) % mod, minlength=mod)
-            counts[:] += local
-            return
-        idx = np.arange(nums.size)
-        for a in range(nums.size):
-            rec_phase(
-                (nums[idx ^ a] - nums) % mod,
-                np.tensordot(vec_cache[a], tensor, axes=([0], [0])) % 2,
-                depth + 1,
-            )
-
-    rec_phase(scaled, alpha.coeffs.astype(np.int64), 0)
-    z = complex(counts @ _roots_table(m)) / total_tuples
-    err = 4.0 * _EPS * mod
-    return CorrelationReport(z, err, None, k, n)
+def _monomial_codes(n: int, k: int) -> np.ndarray:
+    """Bits of a_1 (x) ... (x) a_k over the row-major monomials, per shift
+    tuple: the form with coefficient bits lambda takes lambda . code there."""
+    ev = gf2.all_vectors(n).astype(np.int64)
+    bits = ev
+    for _ in range(k - 1):
+        bits = np.einsum("ai,bj->abij", bits, ev).reshape(bits.shape[0] << n, -1)
+    return bits @ (1 << np.arange(n**k))
 
 
 def spectrum_search(
@@ -385,78 +337,36 @@ def spectrum_search(
 ) -> list[tuple[MultilinearForm, CorrelationReport]]:
     """All forms whose correlation magnitude reaches the threshold, sorted
     descending; enumerates the full form space when n^k <= 16, otherwise a
-    candidate list must be supplied."""
+    candidate list must be supplied.  The full enumeration transforms |g_p^|^2
+    back to 2^n sum_x Delta_{p,a} f(x), pushes these along the monomial map
+    and transforms over the form space."""
     n = f.n
     if candidates is not None:
         out = []
         for alpha in candidates:
             rep = correlation(f, alpha, budget_bits)
-            if rep.magnitude() >= threshold - 1e-12:
+            if rep.magnitude() >= threshold - rep.err:
                 out.append((alpha, rep))
         out.sort(key=lambda p: (-p[1].magnitude(), p[0].support()))
         return out
     if n**k > 16:
         raise SizeGuard("form space too large; supply candidates")
-    # g(a-tuple) = sum over x of the derivative values, exactly
-    shape = (1 << n,) * k
-    if f.is_pm1:
-        g = np.zeros(shape, dtype=np.int64)
-    else:
-        g = np.zeros(shape, dtype=np.complex128)
-
-    def rec(table, depth, prefix):
-        if depth == k:
-            g[prefix] = table.sum()
-            return
-        idx = np.arange(table.size)
-        for a in range(table.size):
-            if f.is_pm1:
-                rec(table[idx ^ a] * table, depth + 1, prefix + (a,))
-            else:
-                rec(table[idx ^ a] - table, depth + 1, prefix + (a,))
-
-    if f.is_pm1:
-        rec(f.signs(), 0, ())
-    else:
-        roots = _roots_table(f.phases.log2_den)
-
-        def rec_c(nums, depth, prefix):
-            if depth == k:
-                g[prefix] = roots[nums].sum()
-                return
-            idx = np.arange(nums.size)
-            mod = 1 << f.phases.log2_den
-            for a in range(nums.size):
-                rec_c((nums[idx ^ a] - nums) % mod, depth + 1, prefix + (a,))
-
-        rec_c(f.phases.nums, 0, ())
-    # push g forward along the monomial evaluation map into F_2^{n^k}
-    dims = n**k
-    monomials = list(itertools.product(range(n), repeat=k))
-    h = np.zeros(1 << dims, dtype=g.dtype)
-    for tup in np.ndindex(*shape):
-        mu = 0
-        for pos, jidx in enumerate(monomials):
-            bit = 1
-            for t in range(k):
-                bit &= (tup[t] >> jidx[t]) & 1
-            if bit:
-                mu |= 1 << pos
-        h[mu] += g[tup]
-    transformed = walsh_hadamard(h)
-    total_tuples = 1 << ((k + 1) * n)
-    exact_path = g.dtype == np.int64
+    bits = (k + 2) * n
+    _require_int64(bits, "spectrum")
+    level = _zeta_level(f)
+    ghat = walsh_hadamard(_zeta_powers(derivative_tables(f.phases, k - 1).T, level))
+    sums = walsh_hadamard(_mul(ghat, _conj(ghat)))  # axes (a, p, L)
+    sums = sums.transpose(1, 0, 2).reshape(-1, level)  # row-major (p, a)
+    pushed = np.zeros((1 << n**k, level), dtype=np.int64)
+    np.add.at(pushed, _monomial_codes(n, k), sums)
+    spectrum = walsh_hadamard(pushed)
+    values, errs, rational = _real_values(spectrum, bits)
     out = []
-    for lam in range(1 << dims):
-        val = transformed[lam] / total_tuples
-        if abs(val) >= threshold - 1e-12:
-            tensor = np.array(
-                [(lam >> p) & 1 for p in range(dims)], dtype=np.uint8
-            ).reshape((n,) * k)
-            alpha = MultilinearForm(n, k, tensor)
-            exact = Fraction(int(transformed[lam]), total_tuples) if exact_path else None
-            rep = CorrelationReport(complex(val), 0.0 if exact_path else 4.0 * _EPS, exact, k, n)
-            out.append((alpha, rep))
+    for lam in np.flatnonzero(np.abs(values) >= threshold - errs):
+        tensor = np.array([(lam >> p) & 1 for p in range(n**k)], dtype=np.uint8)
+        alpha = MultilinearForm(n, k, tensor.reshape((n,) * k))
+        exact = Fraction(int(spectrum[lam, 0]), 1 << bits) if rational[lam] else None
+        out.append((alpha, CorrelationReport(complex(values[lam]), float(errs[lam]), exact, k, n)))
     out.sort(key=lambda p: (-p[1].magnitude(), p[0].support()))
     return out
 
@@ -484,7 +394,7 @@ def lowrank_replace_check(
         "corr_beta": cb,
         "lhs": lhs,
         "rhs": rhs,
-        "holds": lhs >= rhs - 1e-12,
+        "holds": lhs >= rhs - (cb.err + factor * ca.err),
         "certificate_terms": r,
     }
 
@@ -509,8 +419,8 @@ def subspace_restrict(
 
     The averaging argument guarantees some coset shift works; all shifts from
     the complement are tried and the best is returned, so the contract
-    corr_after >= corr_before - tolerance holds with exact arithmetic for
-    +-1-valued f.
+    corr_after >= corr_before - tolerance holds, with tolerance 0 when both
+    correlations are exact.
     """
     k = alpha.arity
     p = gf2.complement_projection(u)
@@ -531,7 +441,7 @@ def subspace_restrict(
         per_shift.append((mask, rep.magnitude()))
         if best is None or rep.magnitude() > best[1].magnitude():
             best = (w, rep, fu)
-    tol = before.err + best[1].err + 1e-12
+    tol = before.err + best[1].err
     report = RestrictReport(
         before.magnitude(), best[1].magnitude(), best[0], per_shift, tol
     )
@@ -573,11 +483,13 @@ def sumset4_verify(points, v: gf2.Subspace, n: int | None = None) -> bool:
         return False
     spec = walsh_hadamard(ind)
     two = walsh_hadamard(spec * spec)
-    assert (two % (1 << n) == 0).all()
+    if (two % (1 << n)).any():
+        raise StepFailed("sumset4_verify", "A + A counts are not integers")
     two_support = (two // (1 << n)) > 0
     spec2 = walsh_hadamard(two_support.astype(np.int64))
     four = walsh_hadamard(spec2 * spec2)
-    assert (four % (1 << n) == 0).all()
+    if (four % (1 << n)).any():
+        raise StepFailed("sumset4_verify", "A + A + A + A counts are not integers")
     four_count = four // (1 << n)
     for c in range(1 << v.dim):
         x = v.from_coords(gf2.vec_from_int(c, v.dim)) if v.dim else gf2.zeros(n)

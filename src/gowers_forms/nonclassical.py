@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import forms, gf2
-from .errors import BudgetExceeded, DimensionMismatch, SizeGuard, SolverFailed
+from .errors import BudgetExceeded, DimensionMismatch, SizeGuard, SolverFailed, StepFailed
 from .forms import MultilinearForm
 
 
@@ -141,6 +141,21 @@ def additive_derivative(f: TorusFunction, a) -> TorusFunction:
     xor = np.arange(1 << f.n) ^ idx
     mod = 1 << f.log2_den
     return TorusFunction(f.n, (f.nums[xor] - f.nums) % mod if f.log2_den else f.nums * 0, f.log2_den)
+
+
+def derivative_tables(f: TorusFunction, depth: int) -> np.ndarray:
+    """Numerators (mod 2^log2_den) of every depth-fold additive derivative:
+    row p of the (2^{depth*n}, 2^n) result is D_{a_1} ... D_{a_depth} f, with
+    p = (a_1, ..., a_depth) in row-major order."""
+    size = 1 << f.n
+    xor = np.arange(size)[:, None] ^ np.arange(size)  # xor[a, x] = x + a
+    tables = f.nums[None, :].copy()
+    for _ in range(depth):
+        shifted = tables[:, xor]
+        shifted -= tables[:, None, :]
+        shifted %= 1 << f.log2_den
+        tables = shifted.reshape(-1, size)
+    return tables
 
 
 def degree_check(f: TorusFunction, d: int, guard_bits: int = 26) -> bool:
@@ -309,7 +324,10 @@ def integrate(
             for v in s:
                 s_mask |= 1 << v
             dval = _alternating_sum(s_mask, shifts)
-            assert dval % (1 << (k - len(s))) == 0
+            if dval % (1 << (k - len(s))):
+                raise StepFailed(
+                    "integrate", f"alternating sum {dval} at {s} is not divisible by 2^{k - len(s)}"
+                )
             row[col] = (dval >> (k - len(s))) & 1
         rows.append(row)
         rhs.append(int(sigma.coeffs[tup]))
@@ -335,41 +353,36 @@ def derivative_identity_check(
     sample_tuples=None,
 ) -> tuple[bool, int]:
     """Check k-fold derivative tables against |sigma(a)|/2 for every shift
-    tuple (or the supplied sample); returns (ok, tuples_checked)."""
+    tuple (or the supplied sample); returns (ok, tuples_checked).
+
+    The full grid uses g_p = D_p q over prefixes p of k - 1 shifts:
+    D_{p,a} q = sigma(p, a)/2 for all (p, a) iff g_p(x) - g_p(0) = sigma(p, x)/2
+    for all (p, x) (take x = 0 one way; the other uses sigma(p, x + a) =
+    sigma(p, x) + sigma(p, a) and -1/2 = 1/2).  On failure it counts the
+    tuples up to the first failing one in row-major order.
+    """
     n, k = sigma.dim, sigma.arity
-    half = TorusValue.half()
-    checked = 0
-
-    def leaf_ok(tab: TorusFunction, value_bit: int) -> bool:
-        target = TorusFunction(
-            n,
-            np.full(1 << n, half.scaled(max(tab.log2_den, 1)) * value_bit, dtype=np.int64),
-            max(tab.log2_den, 1),
-        )
-        return tab == target
-
+    # a table with log2_den 0 is zero, so its numerators serve at denominator 2^m
+    m = max(table.log2_den, 1)
     if sample_tuples is not None:
+        checked = 0
         for tup in sample_tuples:
             tab = table
             for a in tup:
                 tab = additive_derivative(tab, a)
             bit = forms.evaluate(sigma, [gf2.vec_from_int(int(a), n) for a in tup])
             checked += 1
-            if not leaf_ok(tab, bit):
+            if tab != TorusFunction(n, np.full(1 << n, bit << (m - 1), dtype=np.int64), m):
                 return False, checked
         return True, checked
-
-    def rec(tab: TorusFunction, tensor: np.ndarray, depth: int) -> bool:
-        nonlocal checked
-        if depth == k:
-            checked += 1
-            return leaf_ok(tab, int(tensor))
-        for a in range(1 << n):
-            dtab = additive_derivative(tab, a)
-            v = gf2.vec_from_int(a, n).astype(np.int64)
-            sub = np.tensordot(v, tensor, axes=([0], [0])) % 2
-            if not rec(dtab, sub, depth + 1):
-                return False
-        return True
-
-    return rec(table, sigma.coeffs.astype(np.int64), 0), checked
+    g = derivative_tables(table, k - 1)
+    half_sigma = forms.evaluation_table(sigma).reshape(g.shape).astype(np.int64) << (m - 1)
+    defect = (g - g[:, :1] - half_sigma) % (1 << m)
+    bad = np.flatnonzero(defect.any(axis=1))
+    if bad.size == 0:
+        return True, 1 << (k * n)
+    # D_{p,a} q is constant |sigma(p,a)|/2 exactly when the defect row is a-periodic
+    row = defect[bad[0]]
+    xor = np.arange(1 << n)[:, None] ^ np.arange(1 << n)
+    first_a = int(np.argmin((row[xor] == row).all(axis=1)))
+    return False, int(bad[0]) * (1 << n) + first_a + 1

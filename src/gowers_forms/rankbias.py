@@ -23,6 +23,7 @@ from .errors import (
     CertificateInvalid,
     DimensionMismatch,
     SizeGuard,
+    StepFailed,
 )
 from .forms import MultilinearForm
 
@@ -90,7 +91,8 @@ class AnalyticRank:
 
 def arank(f: MultilinearForm) -> AnalyticRank:
     b = bias(f)
-    assert b > 0, "multilinear forms always have positive bias"
+    if not b > 0:
+        raise StepFailed("arank", f"bias {b.as_fraction()} is not positive")
     if b.is_power_of_two():
         value = Fraction(b.log2_den - (abs(b.num).bit_length() - 1))
         return AnalyticRank(value, value, value)
@@ -235,13 +237,6 @@ def verify_provenance(cert: PrankCertificate, sources: dict[str, MultilinearForm
     return True
 
 
-def concat_certificates(target: MultilinearForm, certs) -> PrankCertificate:
-    terms = []
-    for c in certs:
-        terms.extend(c.terms)
-    return PrankCertificate(target, tuple(terms))
-
-
 def permute_certificate(
     cert: PrankCertificate, p: forms.Permutation
 ) -> PrankCertificate:
@@ -264,22 +259,6 @@ def permute_certificate(
         new_terms.append(tuple(new_term))
     out = PrankCertificate(new_target, tuple(new_terms))
     return out
-
-
-def restrict_certificate(cert: PrankCertificate, u: gf2.Subspace) -> PrankCertificate:
-    new_target = forms.restrict_to_subspace(cert.target, u)
-    new_terms = tuple(
-        tuple(
-            Factor(fac.vars, forms.restrict_to_subspace(fac.form, u), Provenance.free())
-            for fac in term
-        )
-        for term in cert.terms
-    )
-    return PrankCertificate(new_target, new_terms)
-
-
-def retarget(cert: PrankCertificate, target: MultilinearForm) -> PrankCertificate:
-    return PrankCertificate(target, cert.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +346,8 @@ def prank_exact_tiny(f: MultilinearForm) -> tuple[int, PrankCertificate]:
         left = MultilinearForm(n, 1, gf2.unit(n, i))
         terms.append((Factor((0,), left), Factor(tuple(range(1, k)), rest)))
     cert = PrankCertificate(f, tuple(terms))
-    assert verify_certificate(cert)
+    if not verify_certificate(cert):
+        raise CertificateInvalid("prank_exact_tiny: slice decomposition does not reconstruct f")
     return 2, cert
 
 
@@ -529,7 +509,8 @@ def projection_decomposition(
         )
     diff = MultilinearForm(n, k, f.coeffs ^ residual.coeffs)
     cert = PrankCertificate(diff, tuple(terms))
-    assert verify_certificate(cert), "projection decomposition must reconstruct f"
+    if not verify_certificate(cert):
+        raise CertificateInvalid("projection decomposition does not reconstruct f")
     return cert, residual
 
 

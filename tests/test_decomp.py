@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gowers_forms import decomp, forms, gf2
+from gowers_forms.errors import CertificateInvalid
 from gowers_forms.decomp import (
     CoefficientGroup,
     DownSet,
@@ -292,3 +293,15 @@ class TestSliceRewrite:
         out = slice_rewrite(cert.target, cert, down, phi_id="phi")
         for term in out.terms:
             assert term_partition(term) in down
+
+    def test_unverified_output_raises(self, monkeypatch):
+        # the input certificate verifies; a rewrite whose output does not must
+        # raise, not be returned (and not hinge on asserts, which -O strips)
+        rng = np.random.default_rng(7)
+        n, k = 3, 3
+        beta = random_form(n, 1, rng)
+        gamma = random_form(n, 2, rng)
+        cert = make_cert(n, k, [(Factor((0,), beta), Factor((1, 2), gamma))])
+        monkeypatch.setattr(decomp, "verify_certificate", lambda c: c is cert)
+        with pytest.raises(CertificateInvalid):
+            slice_rewrite(cert.target, cert, DownSet.all_nontrivial(k), phi_id="phi")

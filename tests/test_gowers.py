@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gowers_forms import forms, gf2, gowers, nonclassical
 from gowers_forms.errors import DimensionMismatch, SizeGuard
@@ -21,11 +23,10 @@ from gowers_forms.gowers import (
     subspace_restrict,
     sumset4_verify,
     symmetry_argument_check,
-    u2_norm_fourier,
     walsh_hadamard,
 )
 from gowers_forms.nonclassical import NonClassicalPoly, TorusFunction, integrate
-from gowers_forms.rankbias import Factor, PrankCertificate, empty_certificate, expand_terms
+from gowers_forms.rankbias import Factor, PrankCertificate, bias, empty_certificate, expand_terms
 
 
 def random_pm1(n, rng):
@@ -38,29 +39,85 @@ def random_dyadic_phase(n, depth, rng):
     )
 
 
+def _cyclotomic_value(hist, bits):
+    """sum_j hist[j] zeta^j / 2^bits with zeta = e^{2 pi i / len(hist)}: a
+    Fraction when the value is rational, otherwise a complex float."""
+    level = len(hist) // 2
+    coeffs = hist[:level] - hist[level:]  # zeta^{j + level} = -zeta^j
+    if not coeffs[1:].any():
+        return Fraction(int(coeffs[0]), 1 << bits)
+    roots = np.exp(2j * np.pi * np.arange(len(hist)) / len(hist))
+    return complex(hist @ roots) / (1 << bits)
+
+
 def correlation_oracle(f, alpha):
-    """Independent oracle: literal summation over all (x, shifts) tuples."""
+    """Independent oracle: literal summation over all (x, shifts) tuples,
+    counting the exponents of the derivative values times the form's sign."""
     n, k = f.n, alpha.arity
-    table = f.complex_table()
-    total = 0.0 + 0.0j
+    m = max(f.phases.log2_den, 1)
+    nums = [int(v) for v in f.phases.nums]
+    hist = np.zeros(1 << m, dtype=np.int64)
     for tup in itertools.product(range(1 << n), repeat=k):
-        shifts = list(tup)
-        sign = (-1) ** forms.evaluate(
-            alpha, [gf2.vec_from_int(a, n) for a in shifts]
-        )
+        sign = forms.evaluate(alpha, [gf2.vec_from_int(a, n) for a in tup])
         for x in range(1 << n):
-            prod = 1.0 + 0.0j
+            e = sign << (m - 1)
             for mask in range(1 << k):
                 y = x
                 bits = 0
                 for t in range(k):
                     if (mask >> t) & 1:
-                        y ^= shifts[t]
+                        y ^= tup[t]
                         bits += 1
-                v = table[y]
-                prod *= v if (k - bits) % 2 == 0 else v.conjugate()
-            total += prod * sign
-    return total / (1 << ((k + 1) * n))
+                e += nums[y] if (k - bits) % 2 == 0 else -nums[y]
+            hist[e % (1 << m)] += 1
+    return _cyclotomic_value(hist, (k + 1) * n)
+
+
+def gowers_power_oracle(f, k):
+    """Independent oracle: the exponent histogram of every k-fold derivative
+    table, built one shift at a time over all 2^{kn} shift tuples."""
+    m = max(f.phases.log2_den, 1)
+    mod = 1 << m
+    hist = np.zeros(mod, dtype=np.int64)
+    idx = np.arange(1 << f.n)
+
+    def rec(nums, depth):
+        if depth == 0:
+            hist[:] += np.bincount(nums, minlength=mod)
+            return
+        for a in range(nums.size):
+            rec((nums[idx ^ a] - nums) % mod, depth - 1)
+
+    rec(f.phases.nums.astype(np.int64), k)
+    return _cyclotomic_value(hist, (k + 1) * f.n)
+
+
+def assert_matches(exact, value, err, oracle):
+    """An engine result against an oracle value: equal Fractions when the
+    oracle is exact, otherwise within the engine's reported error (the
+    oracle's own float sum is off by under 1e-14 at these sizes)."""
+    if isinstance(oracle, Fraction):
+        assert exact == oracle
+        assert value == float(oracle)
+    else:
+        assert exact is None and err > 0
+        assert abs(value - oracle) <= err + 1e-14
+
+
+@st.composite
+def phase_and_order(draw, max_bits=12):
+    """A +-1 or dyadic phase (depth 0-3) and an order k with (k+1)n <= max_bits."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_bits // (k + 1)))
+    depth = draw(st.integers(0, 3))
+    nums = draw(st.lists(st.integers(0, (1 << depth) - 1), min_size=1 << n, max_size=1 << n))
+    return PhaseFunction(n, TorusFunction(n, np.array(nums, dtype=np.int64), depth)), k
+
+
+def form_bits(n, k):
+    return st.lists(st.integers(0, 1), min_size=n**k, max_size=n**k).map(
+        lambda bits: MultilinearForm(n, k, np.array(bits, dtype=np.uint8).reshape((n,) * k))
+    )
 
 
 class TestMder:
@@ -104,29 +161,6 @@ class TestGowersNorm:
         r = gowers_norm(f, k)
         assert r.power_exact == 1
 
-    def test_u2_matches_fourier(self):
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            f = random_pm1(4, rng)
-            r = gowers_norm(f, 2)
-            assert abs(r.value - u2_norm_fourier(f)) < 1e-9
-
-    def test_naive_equals_recursive(self):
-        rng = np.random.default_rng(4)
-        for _ in range(3):
-            f = random_pm1(4, rng)
-            for k in (1, 2, 3):
-                a = gowers_norm(f, k, method="naive")
-                b = gowers_norm(f, k, method="recursive")
-                assert abs(a.value - b.value) < 1e-9
-                if a.power_exact is not None:
-                    assert a.power_exact == b.power_exact
-        g = random_dyadic_phase(3, 3, rng)
-        for k in (1, 2, 3):
-            a = gowers_norm(g, k, method="naive")
-            b = gowers_norm(g, k, method="recursive")
-            assert abs(a.value - b.value) < 1e-9
-
     def test_monotone_in_k(self):
         rng = np.random.default_rng(5)
         for _ in range(4):
@@ -135,13 +169,23 @@ class TestGowersNorm:
             for a, b in zip(norms, norms[1:]):
                 assert a <= b + 1e-9
 
-    def test_thread_override_matches(self, monkeypatch):
-        rng = np.random.default_rng(6)
-        f = random_pm1(3, rng)
-        base = gowers_norm(f, 2)
-        monkeypatch.setenv("GOWERS_FORMS_THREADS", "4")
-        multi = gowers_norm(f, 2)
-        assert base.power_exact == multi.power_exact
+    @settings(max_examples=60, deadline=None)
+    @given(phase_and_order())
+    def test_matches_oracle(self, fk):
+        f, k = fk
+        r = gowers_norm(f, k)
+        assert_matches(r.power_exact, r.power, r.err, gowers_power_oracle(f, k))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_planted_integral_exact(self, k, seed):
+        # the k-fold derivatives of an integral q of sigma are (-1)^{sigma(a)}
+        # at every x: corr(e(q), sigma) = 1 and ||e(q)||_{U^k}^{2^k} = bias(sigma)
+        n = int(np.random.default_rng(seed).integers(1, 12 // (k + 1) + 1))
+        sigma = forms.random_strongly_symmetric(n, k, np.random.default_rng(seed))
+        f = PhaseFunction.from_poly(integrate(sigma))
+        assert correlation(f, sigma).exact == 1
+        assert gowers_norm(f, k).power_exact == bias(sigma).as_fraction()
 
 
 class TestBoxNorm:
@@ -198,13 +242,14 @@ class TestCorrelation:
         assert rep.exact == 1
 
     def test_constructed_phase_correlates_exactly(self):
-        # the derivative phases realize sigma exactly, so the correlation is 1
-        # (the phase table is deeper than +-1, so the value arrives as float)
+        # the derivative phases realize sigma exactly, so the correlation is 1,
+        # exact although the phase table is deeper than +-1
         sigma = diagonal_form(3, 3)
         q = integrate(sigma)
         f = PhaseFunction.from_poly(q)
+        assert not f.is_pm1
         rep = correlation(f, sigma)
-        assert abs(rep.value - 1) < 1e-9
+        assert rep.exact == 1 and rep.err == 0
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(10)
@@ -221,6 +266,14 @@ class TestCorrelation:
         rep = correlation(f, alpha)
         oracle = correlation_oracle(f, alpha)
         assert abs(rep.value - oracle) < 1e-7
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_random(self, data):
+        f, k = data.draw(phase_and_order())
+        alpha = data.draw(form_bits(f.n, k))
+        rep = correlation(f, alpha)
+        assert_matches(rep.exact, rep.value.real, rep.err, correlation_oracle(f, alpha))
 
     def test_invariance_under_matched_permutation(self):
         # renaming summation variables: correlation(f, alpha∘pi) == correlation(f, alpha)
@@ -256,6 +309,26 @@ class TestSpectrum:
         f = PhaseFunction.one(4)
         with pytest.raises(SizeGuard):
             spectrum_search(f, 3, 0.5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_hits_match_correlation(self, data):
+        k = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(1, {1: 6, 2: 3, 3: 2, 4: 1}[k]))  # n^k <= 9: few hits
+        depth = data.draw(st.integers(0, 3))
+        nums = data.draw(st.lists(st.integers(0, (1 << depth) - 1), min_size=1 << n, max_size=1 << n))
+        f = PhaseFunction(n, TorusFunction(n, np.array(nums, dtype=np.int64), depth))
+        threshold = data.draw(st.floats(0.0, 1.0))
+        found = spectrum_search(f, k, threshold)
+        for alpha, rep in found:
+            direct = correlation(f, alpha)
+            assert rep.exact == direct.exact
+            assert abs(rep.value - direct.value) <= rep.err + direct.err + 1e-12
+            assert rep.magnitude() >= threshold - rep.err
+        hits = {alpha for alpha, _ in found}
+        for alpha in data.draw(st.lists(form_bits(n, k), max_size=8)):
+            if correlation(f, alpha).magnitude() >= threshold + 1e-9:
+                assert alpha in hits
 
     def test_candidate_list_path(self):
         rng = np.random.default_rng(13)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gowers_forms import forms, gf2, nonclassical
 from gowers_forms.errors import DimensionMismatch, SolverFailed
@@ -13,6 +15,7 @@ from gowers_forms.nonclassical import (
     TorusValue,
     additive_derivative,
     degree_check,
+    derivative_tables,
     derivative_identity_check,
     evaluate_poly,
     integrate,
@@ -29,6 +32,29 @@ def eval_poly_oracle(q, x):
             total += Fraction(1, 1 << (j + 1))
     total -= int(total)
     return total
+
+
+def derivative_identity_oracle(table, sigma):
+    """Oracle: every k-fold derivative table, one shift tuple at a time in
+    row-major order, against |sigma(a)|/2; returns (ok, tuples_checked)."""
+    n, k = sigma.dim, sigma.arity
+    checked = 0
+
+    def rec(tab, tensor, depth):
+        nonlocal checked
+        if depth == k:
+            checked += 1
+            m = max(tab.log2_den, 1)
+            half = TorusValue.half().scaled(m) * int(tensor)
+            return tab == TorusFunction(n, np.full(1 << n, half, dtype=np.int64), m)
+        for a in range(1 << n):
+            v = gf2.vec_from_int(a, n).astype(np.int64)
+            sub = np.tensordot(v, tensor, axes=([0], [0])) % 2
+            if not rec(additive_derivative(tab, a), sub, depth + 1):
+                return False
+        return True
+
+    return rec(table, sigma.coeffs.astype(np.int64), 0), checked
 
 
 def random_poly(n, d, rng):
@@ -206,3 +232,39 @@ class TestIntegrate:
                     )
                     expected = TorusValue(bit, 1)
                     assert all(v == expected for v in d.values())
+
+
+class TestDerivativeTables:
+    def test_rows_are_iterated_derivatives(self):
+        rng = np.random.default_rng(8)
+        f = TorusFunction(3, rng.integers(0, 8, size=8), 3)
+        tables = derivative_tables(f, 2)
+        assert tables.shape == (64, 8)
+        for a, b in itertools.product(range(8), repeat=2):
+            want = additive_derivative(additive_derivative(f, a), b)
+            assert np.array_equal(tables[a * 8 + b], want.nums)
+
+    def test_depth_zero_is_a_copy(self):
+        f = TorusFunction(2, np.array([0, 1, 2, 3]), 2)
+        tables = derivative_tables(f, 0)
+        tables[0, 0] = 5
+        assert f.nums[0] == 0
+
+
+class TestIdentityCheckDifferential:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_matches_oracle(self, k, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12 // (k + 1) + 1))
+        sigma = forms.random_strongly_symmetric(n, k, rng)
+        tab = poly_to_table(integrate(sigma, verify=False))
+        m = max(tab.log2_den, 1)
+        perturbed = tab.nums.copy()
+        perturbed[int(rng.integers(0, 1 << n))] += 1 << int(rng.integers(0, m))
+        wrong = forms.random_form(n, k, rng)
+        assert derivative_identity_check(tab, sigma) == (True, 1 << (k * n))
+        for table in (tab, TorusFunction(n, perturbed, m)):
+            for form in (sigma, wrong):
+                got = derivative_identity_check(table, form)
+                assert got == derivative_identity_oracle(table, form)
