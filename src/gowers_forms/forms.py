@@ -239,96 +239,57 @@ def is_strongly_symmetric(f: MultilinearForm) -> bool:
     return True if d.arity == 1 else is_symmetric(d)
 
 
+def _support_classes(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Strong-symmetry classes of the index tuples in (n,) * k.
+
+    A form is strongly symmetric exactly when its coefficient at a tuple
+    depends only on the tuple's support S = {s_0 < s_1 < ...}, its set of
+    distinct indices.  Each support is named by its least tuple, the
+    canonical (s_0,) * (k - |S| + 1) + (s_1, ...).  Returns the flat indices
+    of the canonical tuples in increasing order (one per class) and, with
+    shape (n,) * k, the flat index of the canonical tuple of every tuple.
+    """
+    rows = np.sort(np.indices((n,) * k).reshape(k, -1).T, axis=1)
+    # a repeated index becomes one more copy of the least one
+    rows[:, 1:] = np.where(rows[:, 1:] == rows[:, :-1], rows[:, :1], rows[:, 1:])
+    canon = np.sort(rows, axis=1) @ (n ** np.arange(k - 1, -1, -1))
+    return np.unique(canon), canon.reshape((n,) * k)
+
+
 def lift_strongly_symmetric(f: MultilinearForm) -> MultilinearForm:
     """The (k+1)-linear form whose first-two-variable contraction is ``f``.
 
     Coefficient rule: tuples with all indices distinct get 0; otherwise the
     value of ``f`` at any tuple obtained by deleting one copy of a repeated
-    index.  Well-definedness is exactly strong symmetry, which is enforced.
+    index, which is ``f`` at the canonical k-tuple of the same support.
+    Well-definedness is exactly strong symmetry, which is enforced.
     """
     if not is_strongly_symmetric(f):
         raise NotStronglySymmetric("lift coefficient rule would be ill-defined")
     n, k = f.dim, f.arity
     if n ** (k + 1) > MAX_TENSOR_BITS:
         raise SizeGuard("lifted tensor too large")
-    out = np.zeros((n,) * (k + 1), dtype=np.uint8)
-    for idx in np.ndindex(*(n,) * (k + 1)):
-        seen = {}
-        repeated = None
-        for v in idx:
-            if v in seen:
-                repeated = v
-                break
-            seen[v] = 1
-        if repeated is None:
-            continue
-        reduced = list(idx)
-        reduced.remove(repeated)
-        out[idx] = f.coeffs[tuple(reduced)]
+    _, canon = _support_classes(n, k + 1)
+    # a canonical tuple repeats its leading index iff its support has <= k
+    # indices; dropping that leading copy leaves the canonical k-tuple
+    repeated = canon // n ** k == canon // n ** (k - 1) % n
+    out = np.where(repeated, f.coeffs.reshape(-1)[canon % n**k], 0)
     return MultilinearForm(n, k + 1, out)
 
 
-def strongly_symmetric_coefficient_classes(n: int, k: int) -> list[list[tuple]]:
-    """Orbit classes of coefficient tuples under strong symmetry.
-
-    Assigning one bit per class enumerates exactly the strongly symmetric
-    forms: classes join two size-k multisets when both arise from a common
-    (k+1)-multiset by deleting one copy of a repeated element.
-    """
-    multisets = [tuple(sorted(t)) for t in itertools.combinations_with_replacement(range(n), k)]
-    parent = {m: m for m in multisets}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for big in itertools.combinations_with_replacement(range(n), k + 1):
-        counts = {}
-        for v in big:
-            counts[v] = counts.get(v, 0) + 1
-        children = []
-        for v, c in counts.items():
-            if c >= 2:
-                reduced = list(big)
-                reduced.remove(v)
-                children.append(tuple(sorted(reduced)))
-        for a, b in zip(children, children[1:]):
-            union(a, b)
-
-    groups: dict[tuple, list[tuple]] = {}
-    for m in multisets:
-        groups.setdefault(find(m), []).append(m)
-
-    classes = []
-    for members in groups.values():
-        tuples = []
-        for m in members:
-            tuples.extend(set(itertools.permutations(m)))
-        classes.append(sorted(tuples))
-    return sorted(classes)
-
-
 def strongly_symmetric_from_bits(n: int, k: int, bits) -> MultilinearForm:
-    classes = strongly_symmetric_coefficient_classes(n, k)
+    """The strongly symmetric form with one bit per support class, classes
+    ordered by their least index tuple."""
+    classes, canon = _support_classes(n, k)
     if len(bits) != len(classes):
         raise DimensionMismatch(f"need {len(classes)} class bits")
-    t = np.zeros((n,) * k, dtype=np.uint8)
-    for b, cls in zip(bits, classes):
-        if b:
-            for idx in cls:
-                t[idx] = 1
-    return MultilinearForm(n, k, t)
+    flat = np.zeros(n**k, dtype=np.uint8)
+    flat[classes] = np.asarray(bits, dtype=bool)
+    return MultilinearForm(n, k, flat[canon])
 
 
 def random_strongly_symmetric(n: int, k: int, rng: np.random.Generator) -> MultilinearForm:
-    classes = strongly_symmetric_coefficient_classes(n, k)
+    classes, _ = _support_classes(n, k)
     return strongly_symmetric_from_bits(
         n, k, rng.integers(0, 2, size=len(classes)).tolist()
     )
@@ -336,13 +297,11 @@ def random_strongly_symmetric(n: int, k: int, rng: np.random.Generator) -> Multi
 
 def all_strongly_symmetric(n: int, k: int):
     """Exhaustive iterator; feasible only for tiny class counts."""
-    classes = strongly_symmetric_coefficient_classes(n, k)
-    if 2 ** len(classes) > 1 << 20:
+    count = len(_support_classes(n, k)[0])
+    if 2**count > 1 << 20:
         raise SizeGuard("too many strongly symmetric forms to enumerate")
-    for mask in range(1 << len(classes)):
-        yield strongly_symmetric_from_bits(
-            n, k, [(mask >> i) & 1 for i in range(len(classes))]
-        )
+    for mask in range(1 << count):
+        yield strongly_symmetric_from_bits(n, k, [(mask >> i) & 1 for i in range(count)])
 
 
 def apply_linear(f: MultilinearForm, m) -> MultilinearForm:
@@ -383,9 +342,9 @@ def truth_table(f: MultilinearForm) -> np.ndarray:
 
 def evaluation_table(f: MultilinearForm) -> np.ndarray:
     """``truth_table`` without its size guard, for callers that bound 2^{nk}
-    by their own budget."""
-    ev = gf2.all_vectors(f.dim).astype(np.int64)  # (2^n, n)
-    t = f.coeffs.astype(np.int64)
+    by their own budget.  Contracts in uint8: wraparound mod 256 keeps parity."""
+    ev = gf2.all_vectors(f.dim)  # (2^n, n)
+    t = f.coeffs
     for _ in range(f.arity):
-        t = np.tensordot(t, ev, axes=([0], [1])) % 2
-    return t.astype(np.uint8)
+        t = np.tensordot(t, ev, axes=([0], [1])) & 1
+    return t

@@ -99,9 +99,7 @@ def restrict_phase(f: PhaseFunction, u: gf2.Subspace, shift=None) -> "PhaseFunct
     w = 0 if shift is None else (
         gf2.vec_to_int(shift) if not isinstance(shift, (int, np.integer)) else int(shift)
     )
-    idx = np.array(
-        [gf2.vec_to_int(u.from_coords(gf2.vec_from_int(c, u.dim))) ^ w for c in range(1 << u.dim)]
-    )
+    idx = (u.members().astype(np.int64) @ (1 << np.arange(f.n))) ^ w
     return PhaseFunction(
         u.dim, TorusFunction(u.dim, f.phases.nums[idx], f.phases.log2_den)
     )
@@ -351,6 +349,8 @@ def spectrum_search(
         return out
     if n**k > 16:
         raise SizeGuard("form space too large; supply candidates")
+    if (k + 1) * n > budget_bits:
+        raise BudgetExceeded("spectrum enumeration exceeds the bit budget")
     bits = (k + 2) * n
     _require_int64(bits, "spectrum")
     level = _zeta_level(f)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import forms, gf2
-from .errors import BudgetExceeded, DimensionMismatch, SizeGuard, SolverFailed, StepFailed
+from .errors import BudgetExceeded, DimensionMismatch, SizeGuard, SolverFailed
 from .forms import MultilinearForm
 
 
@@ -78,10 +78,10 @@ class TorusFunction:
     log2_den: int
 
     def __post_init__(self):
-        arr = np.asarray(self.nums, dtype=np.int64) % (1 << self.log2_den) if self.log2_den else np.zeros(1 << self.n, dtype=np.int64)
+        arr = np.asarray(self.nums, dtype=np.int64)
         if arr.shape != (1 << self.n,):
             raise DimensionMismatch("table length must be 2^n")
-        arr = arr.copy()
+        arr = arr % (1 << self.log2_den)  # a copy; all zero when log2_den == 0
         arr.setflags(write=False)
         object.__setattr__(self, "nums", arr)
 
@@ -139,8 +139,7 @@ def additive_derivative(f: TorusFunction, a) -> TorusFunction:
     if idx >= (1 << f.n):
         raise DimensionMismatch("shift outside the group")
     xor = np.arange(1 << f.n) ^ idx
-    mod = 1 << f.log2_den
-    return TorusFunction(f.n, (f.nums[xor] - f.nums) % mod if f.log2_den else f.nums * 0, f.log2_den)
+    return TorusFunction(f.n, f.nums[xor] - f.nums, f.log2_den)
 
 
 def derivative_tables(f: TorusFunction, depth: int) -> np.ndarray:
@@ -275,23 +274,14 @@ def poly_from_table(f: TorusFunction, d: int) -> NonClassicalPoly:
 
 # ---------------------------------------------------------------------------
 # integration of strongly symmetric forms
+#
+# Only monomials of full weight |S| + j = k survive k derivatives.  At basis
+# shifts (e_{i_1}, ..., e_{i_k}) with support T, the k-fold alternating sum of
+# |x_S| / 2^{j+1} at 0 vanishes unless T = S (a shift outside S cancels in
+# pairs; if T is a proper subset, no subset of the shifts covers S), and for
+# T = S it is prod_{v in S} (-1)^{m_v+1} 2^{m_v-1} / 2^{j+1} = 1/2 mod 1, with
+# m_v the multiplicity of v.  So q = sum_S sigma(S) |x_S| / 2^{k-|S|+1}.
 # ---------------------------------------------------------------------------
-
-
-def _alternating_sum(s_mask: int, shifts: list[int]) -> int:
-    """sum over T of (-1)^{k-|T|} m_S(xor of shifts in T) at the zero point."""
-    k = len(shifts)
-    total = 0
-    for t_mask in range(1 << k):
-        x = 0
-        bits = 0
-        for t in range(k):
-            if (t_mask >> t) & 1:
-                x ^= shifts[t]
-                bits += 1
-        if x & s_mask == s_mask:
-            total += 1 if (k - bits) % 2 == 0 else -1
-    return total
 
 
 def integrate(
@@ -300,44 +290,23 @@ def integrate(
     """A polynomial q of degree <= k whose k-fold derivatives realize
     half the indicator of sigma: each derivative table equals |sigma(a)|/2.
 
-    Only monomials of full weight |S| + j = k can contribute (lower weights
-    are killed by k derivatives), and their k-fold alternating sums are
-    divisible by 2^{k-|S|}; dividing out, the identity at basis shift tuples
-    becomes one GF(2) linear system on the coefficient bits.  Multi-
-    additivity of both sides in each shift slot extends the identity from
-    basis tuples to all of G^k; the full identity is re-verified before
-    returning unless disabled.
+    Closed form: q = sum over supports S (|S| <= k) of sigma(S) |x_S| /
+    2^{k-|S|+1}, where sigma(S) is sigma's coefficient at any tuple with
+    support S; strong symmetry makes it well defined.  Each such monomial's
+    k-fold derivative at basis shifts is 1/2 exactly at the shift tuples of
+    support S and 0 elsewhere, and multi-additivity of both sides in each
+    shift slot extends the identity from basis tuples to all of G^k.  The
+    full identity is re-verified before returning unless disabled.
     """
     if not forms.is_strongly_symmetric(sigma):
         raise DimensionMismatch("integration requires a strongly symmetric form")
     n, k = sigma.dim, sigma.arity
-    subsets = []
-    for size in range(1, min(n, k) + 1):
-        subsets.extend(itertools.combinations(range(n), size))
-    rows = []
-    rhs = []
-    for tup in itertools.product(range(n), repeat=k):
-        shifts = [1 << i for i in tup]
-        row = np.zeros(len(subsets), dtype=np.uint8)
-        for col, s in enumerate(subsets):
-            s_mask = 0
-            for v in s:
-                s_mask |= 1 << v
-            dval = _alternating_sum(s_mask, shifts)
-            if dval % (1 << (k - len(s))):
-                raise StepFailed(
-                    "integrate", f"alternating sum {dval} at {s} is not divisible by 2^{k - len(s)}"
-                )
-            row[col] = (dval >> (k - len(s))) & 1
-        rows.append(row)
-        rhs.append(int(sigma.coeffs[tup]))
-    solution = gf2.solve(np.stack(rows), np.array(rhs, dtype=np.uint8))
-    if solution is None:
-        raise SolverFailed("coefficient system for the derivative identity is infeasible")
-    coeffs = tuple(
-        (subsets[i], k - len(subsets[i])) for i in range(len(subsets)) if solution[i]
-    )
-    q = NonClassicalPoly(n, k, TorusValue.zero(), coeffs)
+    classes, _ = forms._support_classes(n, k)
+    coeffs = []
+    for rep in classes[sigma.coeffs.reshape(-1)[classes] == 1]:
+        s = tuple(sorted({int(v) for v in np.unravel_index(rep, (n,) * k)}))
+        coeffs.append((s, k - len(s)))
+    q = NonClassicalPoly(n, k, TorusValue.zero(), tuple(coeffs))
     if verify:
         if (k + 1) * n > guard_bits:
             raise SizeGuard("full verification grid exceeds the guard")

@@ -38,6 +38,88 @@ def eval_monomial_oracle(f, xs):
     return total
 
 
+def coefficient_classes_oracle(n, k):
+    """Oracle: orbit classes of coefficient tuples under strong symmetry, by
+    union-find.  Classes join two size-k multisets when both arise from a
+    common (k+1)-multiset by deleting one copy of a repeated element."""
+    multisets = [tuple(sorted(t)) for t in itertools.combinations_with_replacement(range(n), k)]
+    parent = {m: m for m in multisets}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    for big in itertools.combinations_with_replacement(range(n), k + 1):
+        counts = {}
+        for v in big:
+            counts[v] = counts.get(v, 0) + 1
+        children = []
+        for v, c in counts.items():
+            if c >= 2:
+                reduced = list(big)
+                reduced.remove(v)
+                children.append(tuple(sorted(reduced)))
+        for a, b in zip(children, children[1:]):
+            union(a, b)
+
+    groups = {}
+    for m in multisets:
+        groups.setdefault(find(m), []).append(m)
+
+    classes = []
+    for members in groups.values():
+        tuples = []
+        for m in members:
+            tuples.extend(set(itertools.permutations(m)))
+        classes.append(sorted(tuples))
+    return sorted(classes)
+
+
+def from_bits_oracle(n, k, bits):
+    """Oracle: one bit per union-find class, set on every tuple of the class."""
+    t = np.zeros((n,) * k, dtype=np.uint8)
+    for b, cls in zip(bits, coefficient_classes_oracle(n, k)):
+        if b:
+            for idx in cls:
+                t[idx] = 1
+    return MultilinearForm(n, k, t)
+
+
+def lift_oracle(f):
+    """Oracle: the lift's coefficient rule, one (k+1)-tuple at a time."""
+    n, k = f.dim, f.arity
+    out = np.zeros((n,) * (k + 1), dtype=np.uint8)
+    for idx in np.ndindex(*(n,) * (k + 1)):
+        seen = {}
+        repeated = None
+        for v in idx:
+            if v in seen:
+                repeated = v
+                break
+            seen[v] = 1
+        if repeated is None:
+            continue
+        reduced = list(idx)
+        reduced.remove(repeated)
+        out[idx] = f.coeffs[tuple(reduced)]
+    return MultilinearForm(n, k + 1, out)
+
+
+@st.composite
+def sizes(draw, max_lifted=4096):
+    """n <= 6 and k <= 4 with n^(k+1) <= max_lifted."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6).filter(lambda n: n ** (k + 1) <= max_lifted))
+    return n, k
+
+
 def all_input_tuples(n, k):
     vs = gf2.all_vectors(n)
     return itertools.product(vs, repeat=k)
@@ -274,6 +356,33 @@ class TestLift:
         assert ss == brute
 
 
+class TestSupportClassesDifferential:
+    @given(sizes())
+    @settings(max_examples=40, deadline=None)
+    def test_class_order_matches_oracle(self, size):
+        n, k = size
+        classes, canon = forms._support_classes(n, k)
+        oracle = coefficient_classes_oracle(n, k)
+        assert [np.unravel_index(c, (n,) * k) for c in classes] == [cls[0] for cls in oracle]
+        for rep, cls in zip(classes, oracle):
+            assert all(canon[idx] == rep for idx in cls)
+
+    @given(sizes(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_from_bits_matches_oracle(self, size, data):
+        n, k = size
+        count = len(forms._support_classes(n, k)[0])
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=count, max_size=count))
+        assert forms.strongly_symmetric_from_bits(n, k, bits) == from_bits_oracle(n, k, bits)
+
+    @given(sizes(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_lift_matches_oracle(self, size, seed):
+        n, k = size
+        f = forms.random_strongly_symmetric(n, k, np.random.default_rng(seed))
+        assert lift_strongly_symmetric(f) == lift_oracle(f)
+
+
 class TestApplyLinear:
     def test_restrict_extend_roundtrip(self):
         rng = np.random.default_rng(10)
@@ -294,3 +403,17 @@ class TestApplyLinear:
                 assert tab[xi, yi] == evaluate(
                     f, [gf2.vec_from_int(xi, 3), gf2.vec_from_int(yi, 3)]
                 )
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_evaluation_table_matches_evaluate(self, data):
+        k = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(1, 12 // k))
+        f = data.draw(st.lists(st.integers(0, 1), min_size=n**k, max_size=n**k).map(
+            lambda bits: MultilinearForm(n, k, np.array(bits, dtype=np.uint8).reshape((n,) * k))
+        ))
+        tab = forms.evaluation_table(f)
+        assert tab.shape == (1 << n,) * k
+        for _ in range(8):
+            point = data.draw(st.tuples(*[st.integers(0, (1 << n) - 1)] * k))
+            assert tab[point] == evaluate(f, [gf2.vec_from_int(v, n) for v in point])

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gowers_forms import forms, gf2, gowers, nonclassical
-from gowers_forms.errors import DimensionMismatch, SizeGuard
+from gowers_forms.errors import BudgetExceeded, DimensionMismatch, SizeGuard
 from gowers_forms.forms import MultilinearForm, diagonal_form, dot_form, random_form
 from gowers_forms.gowers import (
     PhaseFunction,
@@ -310,6 +310,13 @@ class TestSpectrum:
         with pytest.raises(SizeGuard):
             spectrum_search(f, 3, 0.5)
 
+    def test_bit_budget(self):
+        # the full enumeration holds (k+1)n bits to the budget, as correlation does
+        with pytest.raises(BudgetExceeded):
+            spectrum_search(PhaseFunction.one(1), 12, 0.5, budget_bits=10)
+        with pytest.raises(BudgetExceeded):
+            correlation(PhaseFunction.one(1), forms.zero_form(1, 12), budget_bits=10)
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_hits_match_correlation(self, data):
@@ -364,6 +371,23 @@ class TestLowrankReplace:
             cert = PrankCertificate(diff, (term,)) if not diff.is_zero() else empty_certificate(diff)
             rep = lowrank_replace_check(f, sigma, beta, cert)
             assert rep["holds"]
+
+
+class TestRestrictPhase:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_pointwise_definition(self, data):
+        n = data.draw(st.integers(1, 6))
+        rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=n))
+        u = gf2.Subspace.from_spanning([gf2.vec_from_int(r, n) for r in rows], n)
+        assume(u.dim > 0)
+        w = data.draw(st.integers(0, (1 << n) - 1))
+        f = random_dyadic_phase(n, 3, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+        got = restrict_phase(f, u, gf2.vec_from_int(w, n))
+        assert got.n == u.dim
+        for c in range(1 << u.dim):
+            x = gf2.vec_to_int(u.from_coords(gf2.vec_from_int(c, u.dim))) ^ w
+            assert got.phases.value_at(c) == f.phases.value_at(x)
 
 
 class TestSubspaceRestrict:

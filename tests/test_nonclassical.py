@@ -57,6 +57,51 @@ def derivative_identity_oracle(table, sigma):
     return rec(table, sigma.coeffs.astype(np.int64), 0), checked
 
 
+def _alternating_sum(s_mask, shifts):
+    """sum over T of (-1)^{k-|T|} m_S(xor of shifts in T) at the zero point."""
+    k = len(shifts)
+    total = 0
+    for t_mask in range(1 << k):
+        x = 0
+        bits = 0
+        for t in range(k):
+            if (t_mask >> t) & 1:
+                x ^= shifts[t]
+                bits += 1
+        if x & s_mask == s_mask:
+            total += 1 if (k - bits) % 2 == 0 else -1
+    return total
+
+
+def integrate_oracle(sigma):
+    """Oracle: the derivative identity at every basis shift tuple as one GF(2)
+    system on the full-weight monomial bits, solved by elimination."""
+    n, k = sigma.dim, sigma.arity
+    subsets = []
+    for size in range(1, min(n, k) + 1):
+        subsets.extend(itertools.combinations(range(n), size))
+    rows = []
+    rhs = []
+    for tup in itertools.product(range(n), repeat=k):
+        shifts = [1 << i for i in tup]
+        row = np.zeros(len(subsets), dtype=np.uint8)
+        for col, s in enumerate(subsets):
+            s_mask = 0
+            for v in s:
+                s_mask |= 1 << v
+            dval = _alternating_sum(s_mask, shifts)
+            assert dval % (1 << (k - len(s))) == 0
+            row[col] = (dval >> (k - len(s))) & 1
+        rows.append(row)
+        rhs.append(int(sigma.coeffs[tup]))
+    solution = gf2.solve(np.stack(rows), np.array(rhs, dtype=np.uint8))
+    assert solution is not None
+    coeffs = tuple(
+        (subsets[i], k - len(subsets[i])) for i in range(len(subsets)) if solution[i]
+    )
+    return NonClassicalPoly(n, k, TorusValue.zero(), coeffs)
+
+
 def random_poly(n, d, rng):
     coeffs = []
     for size in range(1, min(n, d) + 1):
@@ -78,6 +123,16 @@ class TestTorusValue:
         assert TorusValue(1, 1) + TorusValue(1, 1) == TorusValue.zero()
         assert TorusValue(1, 2) + TorusValue(1, 2) == TorusValue(1, 1)
         assert TorusValue(1, 2) - TorusValue(3, 2) == TorusValue(1, 1)
+
+
+class TestTorusFunction:
+    def test_rejects_wrong_length(self):
+        for log2_den in (0, 2):
+            with pytest.raises(DimensionMismatch):
+                TorusFunction(3, [1, 2], log2_den)
+
+    def test_zero_denominator_is_zero(self):
+        assert TorusFunction(2, [1, 2, 3, 4], 0) == TorusFunction.zeros(2)
 
 
 class TestEvaluatePoly:
@@ -232,6 +287,18 @@ class TestIntegrate:
                     )
                     expected = TorusValue(bit, 1)
                     assert all(v == expected for v in d.values())
+
+
+class TestIntegrateDifferential:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_system_oracle(self, data):
+        k = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(1, 6).filter(lambda n: n ** (k + 1) <= 4096))
+        count = len(forms._support_classes(n, k)[0])
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=count, max_size=count))
+        sigma = forms.strongly_symmetric_from_bits(n, k, bits)
+        assert integrate(sigma, verify=False) == integrate_oracle(sigma)
 
 
 class TestDerivativeTables:
