@@ -7,7 +7,7 @@ factor is a recorded slice of the target form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .rankbias import (
     PrankCertificate,
     Provenance,
     bias,
-    expand_term,
     expand_terms,
     verify_certificate,
 )

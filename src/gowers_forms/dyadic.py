@@ -25,13 +25,13 @@ class Dyadic:
         object.__setattr__(self, "num", n)
         object.__setattr__(self, "log2_den", d)
 
-    @staticmethod
-    def zero() -> "Dyadic":
-        return Dyadic(0, 0)
+    @classmethod
+    def zero(cls):
+        return cls(0, 0)
 
-    @staticmethod
-    def one() -> "Dyadic":
-        return Dyadic(1, 0)
+    @classmethod
+    def one(cls):
+        return cls(1, 0)
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.log2_den)
@@ -40,12 +40,18 @@ class Dyadic:
         n = abs(self.num)
         return n != 0 and (n & (n - 1)) == 0
 
+    def scaled(self, m: int) -> int:
+        """Numerator at denominator 2^m (requires m >= log2_den)."""
+        if m < self.log2_den:
+            raise ValueError("target denominator too small")
+        return self.num << (m - self.log2_den)
+
     def __float__(self) -> float:
         return self.num / (1 << self.log2_den)
 
     def __add__(self, other: "Dyadic") -> "Dyadic":
         d = max(self.log2_den, other.log2_den)
-        return Dyadic(
+        return type(self)(
             (self.num << (d - self.log2_den)) + (other.num << (d - other.log2_den)), d
         )
 

@@ -249,14 +249,6 @@ class Subspace:
             return np.zeros((1, self.ambient_dim), dtype=np.uint8)
         return matmul(all_vectors(self.dim), self.basis)
 
-    def intersection(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("ambient dims differ")
-        # x in both spans: stack orthogonal descriptions instead: a vector is
-        # in U iff it is killed by U's cokernel functionals.
-        fun = np.concatenate([cokernel(self), cokernel(other)], axis=0)
-        return Subspace.from_kernel_of(fun, self.ambient_dim)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -266,11 +258,6 @@ class Subspace:
 
     def __hash__(self):
         return hash((self.ambient_dim, self.basis.tobytes()))
-
-
-def cokernel(u: Subspace) -> np.ndarray:
-    """Functionals (rows) whose joint kernel is exactly ``u``."""
-    return kernel_basis(u.basis) if u.dim else np.eye(u.ambient_dim, dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -294,12 +281,6 @@ class ProjectionData:
         if self.subspace.dim == 0:
             return zeros(self.subspace.ambient_dim)
         return matmul(matmul(self.coord_map, x), self.subspace.basis)
-
-    def project_coords(self, x) -> np.ndarray:
-        """U-basis coordinates of project(x)."""
-        if self.subspace.dim == 0:
-            return zeros(0)
-        return matmul(self.coord_map, as_gf2(x))
 
     def phi(self, x) -> np.ndarray:
         """Values of all functionals at x (length codim)."""

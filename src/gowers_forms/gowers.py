@@ -23,7 +23,13 @@ from . import forms, gf2
 from .dyadic import Dyadic
 from .errors import BudgetExceeded, DimensionMismatch, SizeGuard, StepFailed
 from .forms import MultilinearForm
-from .nonclassical import NonClassicalPoly, TorusFunction, derivative_tables, poly_to_table
+from .nonclassical import (
+    NonClassicalPoly,
+    TorusFunction,
+    additive_derivative,
+    derivative_tables,
+    poly_to_table,
+)
 from .rankbias import PrankCertificate, bias, require_valid
 
 DEFAULT_BITS_BUDGET = 26
@@ -37,16 +43,15 @@ _INT64_BITS = 62  # exact sums whose l1 norm stays below 2^62 fit in int64
 class PhaseFunction:
     """x -> exp(2 pi i phases(x)) with exact dyadic phases."""
 
-    n: int
     phases: TorusFunction
 
-    def __post_init__(self):
-        if self.phases.n != self.n:
-            raise DimensionMismatch("phase table dimension mismatch")
+    @property
+    def n(self) -> int:
+        return self.phases.n
 
     @staticmethod
     def one(n: int) -> "PhaseFunction":
-        return PhaseFunction(n, TorusFunction.zeros(n))
+        return PhaseFunction(TorusFunction.zeros(n))
 
     @staticmethod
     def from_signs(signs) -> "PhaseFunction":
@@ -54,11 +59,11 @@ class PhaseFunction:
         n = int(arr.shape[0]).bit_length() - 1
         if arr.shape != (1 << n,) or not set(np.unique(arr)) <= {-1, 1}:
             raise DimensionMismatch("signs must be a +-1 table of length 2^n")
-        return PhaseFunction(n, TorusFunction(n, (1 - arr) // 2, 1))
+        return PhaseFunction(TorusFunction(n, (1 - arr) // 2, 1))
 
     @staticmethod
     def from_poly(q: NonClassicalPoly) -> "PhaseFunction":
-        return PhaseFunction(q.n, poly_to_table(q))
+        return PhaseFunction(poly_to_table(q))
 
     @property
     def is_pm1(self) -> bool:
@@ -69,25 +74,15 @@ class PhaseFunction:
         angles = 2.0 * np.pi * self.phases.nums / (1 << m)
         return np.cos(angles) + 1j * np.sin(angles)
 
-    def conj(self) -> "PhaseFunction":
-        return PhaseFunction(self.n, TorusFunction.zeros(self.n) - self.phases)
-
-    def __mul__(self, other: "PhaseFunction") -> "PhaseFunction":
-        return PhaseFunction(self.n, self.phases + other.phases)
-
     def shift(self, a) -> "PhaseFunction":
         idx = gf2.vec_to_int(a) if not isinstance(a, (int, np.integer)) else int(a)
         xor = np.arange(1 << self.n) ^ idx
-        return PhaseFunction(
-            self.n, TorusFunction(self.n, self.phases.nums[xor], self.phases.log2_den)
-        )
+        return PhaseFunction(TorusFunction(self.n, self.phases.nums[xor], self.phases.log2_den))
 
 
 def mder(f: PhaseFunction, a) -> PhaseFunction:
     """Multiplicative derivative: x -> f(x + a) * conj(f(x))."""
-    from .nonclassical import additive_derivative
-
-    return PhaseFunction(f.n, additive_derivative(f.phases, a))
+    return PhaseFunction(additive_derivative(f.phases, a))
 
 
 def restrict_phase(f: PhaseFunction, u: gf2.Subspace, shift=None) -> "PhaseFunction":
@@ -100,9 +95,7 @@ def restrict_phase(f: PhaseFunction, u: gf2.Subspace, shift=None) -> "PhaseFunct
         gf2.vec_to_int(shift) if not isinstance(shift, (int, np.integer)) else int(shift)
     )
     idx = (u.members().astype(np.int64) @ (1 << np.arange(f.n))) ^ w
-    return PhaseFunction(
-        u.dim, TorusFunction(u.dim, f.phases.nums[idx], f.phases.log2_den)
-    )
+    return PhaseFunction(TorusFunction(u.dim, f.phases.nums[idx], f.phases.log2_den))
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +302,8 @@ def correlation(
     _require_int64(bits, "correlation")
     level = _zeta_level(f)
     exponents = derivative_tables(f.phases, k - 1)
-    signs = forms.evaluation_table(alpha).reshape(exponents.shape).astype(bool)
-    exponents[signs] += level  # (-1)^{l_p.x} = zeta^{L * alpha(p, x)}
+    table = forms.evaluation_table(alpha).reshape(exponents.shape)
+    exponents += np.multiply(table, level, dtype=np.int64)  # (-1)^{l_p.x} = zeta^{L alpha(p, x)}
     ghat = _char_sums(exponents, level)
     value, err, exact = _real_value(_mul(ghat, _conj(ghat)).sum(axis=0), bits)
     return CorrelationReport(complex(value), err, exact, k, n)

@@ -3,70 +3,37 @@
 A non-classical polynomial is held in its monomial representation: a
 constant plus terms bit * |x_S| / 2^{j+1} with |S| + j bounded by the
 degree.  Tables (TorusFunction) hold one dyadic value per point of F_2^n
-with a shared power-of-two denominator, so additive derivatives and
+with a shared power-of-two denominator 2^m, so additive derivatives and
 equality are exact integer computations throughout.
+
+A table has exactly one expansion f(0) + sum_{S nonempty} a_S x_S / 2^m
+with a_S in Z/2^m, found by the Mobius transform over subsets,
+a_S = sum over T within S of (-1)^{|S| - |T|} f(1_T).  Binary digit m - 1 - j of a_S is
+the coefficient of |x_S| / 2^{j+1}, so the digits are the monomial
+representation, and the degree is the largest |S| + j among them (Tao and
+Ziegler, 2012).  ``degree`` and ``poly_from_table`` both read these digits
+off one n * 2^n transform; ``degree`` is exact at every size, with no guard.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import forms, gf2
-from .errors import BudgetExceeded, DimensionMismatch, SizeGuard, SolverFailed
+from .dyadic import Dyadic
+from .errors import DimensionMismatch, SizeGuard, SolverFailed
 from .forms import MultilinearForm
 
 
-@dataclass(frozen=True)
-class TorusValue:
-    """num / 2^log2_den mod 1, reduced so num is odd or zero."""
-
-    num: int
-    log2_den: int
+class TorusValue(Dyadic):
+    """A Dyadic taken mod 1: num / 2^log2_den with 0 <= num < 2^log2_den."""
 
     def __post_init__(self):
-        if self.log2_den < 0:
-            raise ValueError("log2_den must be nonnegative")
-        n = self.num % (1 << self.log2_den) if self.log2_den else 0
-        d = self.log2_den
-        while d > 0 and n % 2 == 0 and n:
-            n //= 2
-            d -= 1
-        if n == 0:
-            d = 0
-        object.__setattr__(self, "num", n)
-        object.__setattr__(self, "log2_den", d)
-
-    @staticmethod
-    def zero() -> "TorusValue":
-        return TorusValue(0, 0)
-
-    @staticmethod
-    def half() -> "TorusValue":
-        return TorusValue(1, 1)
-
-    def __add__(self, other: "TorusValue") -> "TorusValue":
-        d = max(self.log2_den, other.log2_den)
-        return TorusValue(
-            (self.num << (d - self.log2_den)) + (other.num << (d - other.log2_den)), d
-        )
-
-    def __neg__(self) -> "TorusValue":
-        return TorusValue(-self.num, self.log2_den)
-
-    def __sub__(self, other: "TorusValue") -> "TorusValue":
-        return self + (-other)
-
-    def scaled(self, m: int) -> int:
-        """Numerator at denominator 2^m (requires m >= log2_den)."""
-        if m < self.log2_den:
-            raise ValueError("target denominator too small")
-        return self.num << (m - self.log2_den)
-
-    def __float__(self) -> float:
-        return self.num / (1 << self.log2_den)
+        if self.log2_den >= 0:
+            object.__setattr__(self, "num", self.num % (1 << self.log2_den))
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -89,12 +56,6 @@ class TorusFunction:
     def zeros(n: int) -> "TorusFunction":
         return TorusFunction(n, np.zeros(1 << n, dtype=np.int64), 0)
 
-    @staticmethod
-    def from_values(n: int, values) -> "TorusFunction":
-        m = max((v.log2_den for v in values), default=0)
-        nums = np.array([v.scaled(m) for v in values], dtype=np.int64)
-        return TorusFunction(n, nums, m)
-
     def value_at(self, x) -> TorusValue:
         idx = gf2.vec_to_int(x) if not isinstance(x, (int, np.integer)) else int(x)
         return TorusValue(int(self.nums[idx]), self.log2_den)
@@ -104,22 +65,6 @@ class TorusFunction:
 
     def is_zero(self) -> bool:
         return not self.nums.any()
-
-    def __add__(self, other: "TorusFunction") -> "TorusFunction":
-        if self.n != other.n:
-            raise DimensionMismatch("tables over different spaces")
-        m = max(self.log2_den, other.log2_den)
-        a = self.nums << (m - self.log2_den)
-        b = other.nums << (m - other.log2_den)
-        return TorusFunction(self.n, (a + b) % (1 << m), m)
-
-    def __sub__(self, other: "TorusFunction") -> "TorusFunction":
-        if self.n != other.n:
-            raise DimensionMismatch("tables over different spaces")
-        m = max(self.log2_den, other.log2_den)
-        a = self.nums << (m - self.log2_den)
-        b = other.nums << (m - other.log2_den)
-        return TorusFunction(self.n, (a - b) % (1 << m), m)
 
     def __eq__(self, other):
         if not isinstance(other, TorusFunction) or self.n != other.n:
@@ -157,27 +102,28 @@ def derivative_tables(f: TorusFunction, depth: int) -> np.ndarray:
     return tables
 
 
-def degree_check(f: TorusFunction, d: int, guard_bits: int = 26) -> bool:
-    """All (d+1)-fold additive derivatives vanish, checked exhaustively.
+def _monomial_digits(f: TorusFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mask of S, j, |S| + j) for every monomial |x_S| / 2^{j+1}, S nonempty,
+    in the representation of f: the binary digits of its Mobius transform."""
+    m = f.log2_den
+    a = f.nums.copy()
+    for v in range(f.n):
+        pairs = a.reshape(-1, 2, 1 << v)  # pairs[:, 1] holds the sets containing v
+        pairs[:, 1] -= pairs[:, 0]
+        pairs[:, 1] %= 1 << m
+    digits = (a[1:] >> (m - 1 - np.arange(m))[:, None]) & 1  # row j: 1 / 2^{j+1}
+    js, masks = np.nonzero(digits)
+    masks += 1
+    return masks, js, ((masks[:, None] >> np.arange(f.n)) & 1).sum(axis=1) + js
 
-    Zero intermediate tables prune the branch (their further derivatives
-    vanish identically).
-    """
-    if d < 0:
-        return f.is_zero()
-    if (d + 2) * f.n > guard_bits:
-        raise BudgetExceeded("degree check space exceeds the exhaustion guard")
 
-    def rec(table: TorusFunction, depth: int) -> bool:
-        if table.is_zero():
-            return True
-        if depth == 0:
-            return table.is_zero()
-        return all(
-            rec(additive_derivative(table, a), depth - 1) for a in range(1 << f.n)
-        )
-
-    return rec(f, d + 1)
+def degree(f: TorusFunction) -> int:
+    """Degree of the table: the largest |S| + j over its monomials; 0 for a
+    nonzero constant and -1 for the zero table."""
+    _, _, weights = _monomial_digits(f)
+    if weights.size:
+        return int(weights.max())
+    return 0 if f.nums[0] else -1
 
 
 @dataclass(frozen=True)
@@ -236,37 +182,17 @@ def poly_to_table(q: NonClassicalPoly) -> TorusFunction:
 
 
 def poly_from_table(f: TorusFunction, d: int) -> NonClassicalPoly:
-    """Recover the monomial representation of a degree <= d table.
-
-    Peels coefficients at set indicators in increasing set size; uniqueness
-    of the representation makes the reading canonical.  Raises SolverFailed
-    when the table is not a polynomial of degree at most d.
-    """
-    const = f.value_at(0)
-    coeffs = []
-    known: dict[tuple, int] = {}
-    for size in range(1, min(f.n, d) + 1):
-        for s in itertools.combinations(range(f.n), size):
-            point = 0
-            for v in s:
-                point |= 1 << v
-            residual = f.value_at(point) - const
-            for (s2, j2) in known:
-                if set(s2) <= set(s):
-                    residual = residual - TorusValue(1, j2 + 1)
-            scaled = residual.scaled(d + 1) if residual.log2_den <= d + 1 else None
-            if scaled is None:
-                raise SolverFailed("table requires depth beyond the degree bound")
-            for j in range(d - size, -1, -1):
-                if (scaled >> (d - j)) & 1:
-                    coeffs.append((s, j))
-                    known[(s, j)] = 1
-                    scaled -= 1 << (d - j)
-            if scaled:
-                raise SolverFailed(
-                    f"residual at {s} not representable within degree {d}"
-                )
-    q = NonClassicalPoly(f.n, d, const, tuple(coeffs))
+    """Recover the monomial representation of a degree <= d table from its
+    Mobius digits.  Raises SolverFailed when the table has a monomial with
+    |S| + j > d."""
+    masks, js, weights = _monomial_digits(f)
+    if (weights > d).any():
+        raise SolverFailed(f"table has a monomial beyond degree {d}")
+    coeffs = tuple(
+        (tuple(v for v in range(f.n) if (mask >> v) & 1), j)
+        for mask, j in zip(masks.tolist(), js.tolist())
+    )
+    q = NonClassicalPoly(f.n, d, f.value_at(0), coeffs)
     if poly_to_table(q) != f:
         raise SolverFailed("monomial reconstruction does not reproduce the table")
     return q
@@ -316,13 +242,9 @@ def integrate(
     return q
 
 
-def derivative_identity_check(
-    table: TorusFunction,
-    sigma: MultilinearForm,
-    sample_tuples=None,
-) -> tuple[bool, int]:
+def derivative_identity_check(table: TorusFunction, sigma: MultilinearForm) -> tuple[bool, int]:
     """Check k-fold derivative tables against |sigma(a)|/2 for every shift
-    tuple (or the supplied sample); returns (ok, tuples_checked).
+    tuple; returns (ok, tuples_checked).
 
     The full grid uses g_p = D_p q over prefixes p of k - 1 shifts:
     D_{p,a} q = sigma(p, a)/2 for all (p, a) iff g_p(x) - g_p(0) = sigma(p, x)/2
@@ -333,17 +255,6 @@ def derivative_identity_check(
     n, k = sigma.dim, sigma.arity
     # a table with log2_den 0 is zero, so its numerators serve at denominator 2^m
     m = max(table.log2_den, 1)
-    if sample_tuples is not None:
-        checked = 0
-        for tup in sample_tuples:
-            tab = table
-            for a in tup:
-                tab = additive_derivative(tab, a)
-            bit = forms.evaluate(sigma, [gf2.vec_from_int(int(a), n) for a in tup])
-            checked += 1
-            if tab != TorusFunction(n, np.full(1 << n, bit << (m - 1), dtype=np.int64), m):
-                return False, checked
-        return True, checked
     g = derivative_tables(table, k - 1)
     half_sigma = forms.evaluation_table(sigma).reshape(g.shape).astype(np.int64) << (m - 1)
     defect = (g - g[:, :1] - half_sigma) % (1 << m)

@@ -202,21 +202,26 @@ def check_structure(cert: PrankCertificate) -> str | None:
     return None
 
 
+def _invalid_reason(cert: PrankCertificate) -> str | None:
+    """Why the certificate fails (structure, then the symbolic expansion
+    against the target), or None when it is valid."""
+    reason = check_structure(cert)
+    if reason is None:
+        n, k = cert.target.dim, cert.target.arity
+        if not np.array_equal(expand_terms(cert.terms, n, k), cert.target.coeffs):
+            reason = "expansion does not match target"
+    return reason
+
+
 def verify_certificate(cert: PrankCertificate) -> bool:
     """True iff structure holds and the symbolic expansion equals the target."""
-    if check_structure(cert) is not None:
-        return False
-    n, k = cert.target.dim, cert.target.arity
-    return np.array_equal(expand_terms(cert.terms, n, k), cert.target.coeffs)
+    return _invalid_reason(cert) is None
 
 
 def require_valid(cert: PrankCertificate, what: str = "certificate"):
-    reason = check_structure(cert)
+    reason = _invalid_reason(cert)
     if reason is not None:
         raise CertificateInvalid(f"{what}: {reason}")
-    n, k = cert.target.dim, cert.target.arity
-    if not np.array_equal(expand_terms(cert.terms, n, k), cert.target.coeffs):
-        raise CertificateInvalid(f"{what}: expansion does not match target")
 
 
 def verify_provenance(cert: PrankCertificate, sources: dict[str, MultilinearForm]) -> bool:

@@ -34,9 +34,7 @@ def random_pm1(n, rng):
 
 
 def random_dyadic_phase(n, depth, rng):
-    return PhaseFunction(
-        n, TorusFunction(n, rng.integers(0, 1 << depth, size=1 << n), depth)
-    )
+    return PhaseFunction(TorusFunction(n, rng.integers(0, 1 << depth, size=1 << n), depth))
 
 
 def _cyclotomic_value(hist, bits):
@@ -111,7 +109,7 @@ def phase_and_order(draw, max_bits=12):
     n = draw(st.integers(1, max_bits // (k + 1)))
     depth = draw(st.integers(0, 3))
     nums = draw(st.lists(st.integers(0, (1 << depth) - 1), min_size=1 << n, max_size=1 << n))
-    return PhaseFunction(n, TorusFunction(n, np.array(nums, dtype=np.int64), depth)), k
+    return PhaseFunction(TorusFunction(n, np.array(nums, dtype=np.int64), depth)), k
 
 
 def form_bits(n, k):
@@ -267,6 +265,14 @@ class TestCorrelation:
         oracle = correlation_oracle(f, alpha)
         assert abs(rep.value - oracle) < 1e-7
 
+    def test_deep_phase_matches_oracle(self):
+        # level = 2^9: the form's exponent shift no longer fits the uint8 table
+        rng = np.random.default_rng(13)
+        f = random_dyadic_phase(2, 10, rng)
+        alpha = random_form(2, 2, rng)
+        rep = correlation(f, alpha)
+        assert_matches(rep.exact, rep.value.real, rep.err, correlation_oracle(f, alpha))
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_matches_oracle_random(self, data):
@@ -324,7 +330,7 @@ class TestSpectrum:
         n = data.draw(st.integers(1, {1: 6, 2: 3, 3: 2, 4: 1}[k]))  # n^k <= 9: few hits
         depth = data.draw(st.integers(0, 3))
         nums = data.draw(st.lists(st.integers(0, (1 << depth) - 1), min_size=1 << n, max_size=1 << n))
-        f = PhaseFunction(n, TorusFunction(n, np.array(nums, dtype=np.int64), depth))
+        f = PhaseFunction(TorusFunction(n, np.array(nums, dtype=np.int64), depth))
         threshold = data.draw(st.floats(0.0, 1.0))
         found = spectrum_search(f, k, threshold)
         for alpha, rep in found:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gowers_forms import forms, gf2, nonclassical
+from gowers_forms.dyadic import Dyadic
 from gowers_forms.errors import DimensionMismatch, SolverFailed
 from gowers_forms.forms import diagonal_form, dot_form
 from gowers_forms.nonclassical import (
@@ -14,7 +15,7 @@ from gowers_forms.nonclassical import (
     TorusFunction,
     TorusValue,
     additive_derivative,
-    degree_check,
+    degree,
     derivative_tables,
     derivative_identity_check,
     evaluate_poly,
@@ -45,7 +46,7 @@ def derivative_identity_oracle(table, sigma):
         if depth == k:
             checked += 1
             m = max(tab.log2_den, 1)
-            half = TorusValue.half().scaled(m) * int(tensor)
+            half = TorusValue(1, 1).scaled(m) * int(tensor)
             return tab == TorusFunction(n, np.full(1 << n, half, dtype=np.int64), m)
         for a in range(1 << n):
             v = gf2.vec_from_int(a, n).astype(np.int64)
@@ -55,6 +56,21 @@ def derivative_identity_oracle(table, sigma):
         return True
 
     return rec(table, sigma.coeffs.astype(np.int64), 0), checked
+
+
+def degree_check_oracle(f, d):
+    """Oracle: every (d+1)-fold additive derivative of f vanishes, by applying
+    every shift one level at a time.  Equal tables are kept once and zero
+    tables dropped, since all their further derivatives vanish."""
+    tables = set() if f.is_zero() else {f}
+    for _ in range(d + 1):
+        tables = {
+            g
+            for t in tables
+            for a in range(1 << f.n)
+            if not (g := additive_derivative(t, a)).is_zero()
+        }
+    return not tables
 
 
 def _alternating_sum(s_mask, shifts):
@@ -124,6 +140,18 @@ class TestTorusValue:
         assert TorusValue(1, 2) + TorusValue(1, 2) == TorusValue(1, 1)
         assert TorusValue(1, 2) - TorusValue(3, 2) == TorusValue(1, 1)
 
+    def test_is_a_dyadic_reduced_mod_one(self):
+        assert isinstance(TorusValue(1, 2), Dyadic)
+        assert isinstance(TorusValue(1, 2) - TorusValue(3, 2), TorusValue)
+        assert isinstance(TorusValue.zero(), TorusValue)
+        assert TorusValue.one() == TorusValue.zero()
+        assert Dyadic(1, 2) - Dyadic(3, 2) == Dyadic(-1, 1)
+        assert TorusValue(3, 2).scaled(4) == 12
+
+    def test_negative_denominator_raises(self):
+        with pytest.raises(ValueError):
+            TorusValue(1, -1)
+
 
 class TestTorusFunction:
     def test_rejects_wrong_length(self):
@@ -184,30 +212,64 @@ class TestAdditiveDerivative:
             assert ab == ba
 
 
+def sample_table(n, log2_den, seed, kind):
+    """A random table, the table of a random polynomial, or an integral."""
+    rng = np.random.default_rng(seed)
+    if kind == "table":
+        return TorusFunction(n, rng.integers(0, 1 << log2_den, size=1 << n), log2_den)
+    if kind == "poly":
+        return poly_to_table(random_poly(n, log2_den - 1, rng))
+    k = max(log2_den - 1, 1)
+    return poly_to_table(integrate(forms.random_strongly_symmetric(n, k, rng), verify=False))
+
+
 class TestDegreeCheck:
     def test_constant(self):
         f = TorusFunction(2, np.full(4, 3, dtype=np.int64), 2)
-        assert degree_check(f, 0)
+        assert degree(f) == 0
+
+    def test_zero_table(self):
+        assert degree(TorusFunction.zeros(3)) == -1
+        assert degree(TorusFunction(2, [4, 8, 0, 12], 2)) == -1
 
     def test_half_monomial_degree_one(self):
         q = NonClassicalPoly(2, 1, coeffs=(((0,), 0),))
         tab = poly_to_table(q)
-        assert not degree_check(tab, 0)
-        assert degree_check(tab, 1)
+        assert degree(tab) == 1
 
     def test_representation_degree_consistency(self):
         rng = np.random.default_rng(4)
         for _ in range(8):
             d = int(rng.integers(1, 4))
             q = random_poly(3, d, rng)
-            assert degree_check(poly_to_table(q), d)
+            assert degree(poly_to_table(q)) <= d
 
     def test_deep_monomial_needs_depth(self):
         # |x_0| / 4 has degree exactly 2
         q = NonClassicalPoly(2, 2, coeffs=(((0,), 1),))
         tab = poly_to_table(q)
-        assert not degree_check(tab, 1)
-        assert degree_check(tab, 2)
+        assert degree(tab) == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(0, 3),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["table", "poly", "integral"]),
+        st.integers(-1, 5),
+    )
+    def test_matches_oracle(self, n, log2_den, seed, kind, d):
+        f = sample_table(n, log2_den, seed, kind)
+        assert (degree(f) <= d) == degree_check_oracle(f, d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+    def test_integral_has_degree_k(self, k, seed, data):
+        n = data.draw(st.integers(1, 6).filter(lambda n: n ** (k + 1) <= 4096))
+        sigma = forms.random_strongly_symmetric(n, k, np.random.default_rng(seed))
+        if sigma.is_zero():
+            sigma = forms.diagonal_form(n, k)
+        assert degree(poly_to_table(integrate(sigma, verify=False))) == k
 
 
 class TestPolyFromTable:
@@ -218,6 +280,12 @@ class TestPolyFromTable:
             q = random_poly(3, d, rng)
             back = poly_from_table(poly_to_table(q), d)
             assert back == q
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 6), st.integers(0, 2**32 - 1))
+    def test_roundtrip_random(self, n, d, seed):
+        q = random_poly(n, d, np.random.default_rng(seed))
+        assert poly_from_table(poly_to_table(q), d) == q
 
     def test_rejects_wrong_degree(self):
         q = NonClassicalPoly(2, 2, coeffs=(((0,), 1),))
