@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms, gf2
-from .errors import BudgetExceeded, CertificateInvalid, DimensionMismatch, StepFailed
+from .errors import WORK_LIMIT, CertificateInvalid, DimensionMismatch, StepFailed, require_work
 from .forms import MultilinearForm
 from .rankbias import (
     Factor,
@@ -150,14 +150,17 @@ def _constraint_table(vars_, form, n, k):
     return t.reshape([(1 << n) if v in vars_ else 1 for v in range(k)])
 
 
-def find_point(
-    c: PointConstraints, budget: int = 1 << 20, seed: int = 0
-) -> tuple[list[np.ndarray] | None, SearchReport]:
+_RANDOM_TRIALS = 1 << 20
+_RANDOM_SEED = 0
+
+
+def find_point(c: PointConstraints) -> tuple[list[np.ndarray] | None, SearchReport]:
     """First tuple (lexicographic over integer-encoded vectors) meeting the
-    constraints; falls back to seeded random trials beyond the budget."""
+    constraints while the 2^{nk} tuples are within WORK_LIMIT; beyond it,
+    2^20 seeded random trials."""
     n, k = c.dim, c.arity
     space = 1 << (n * k)
-    if space <= budget:
+    if space <= WORK_LIMIT:
         ok = np.ones((1 << n,) * k, dtype=bool)
         for vars_, form in c.want_one:
             ok &= _constraint_table(vars_, form, n, k) == 1
@@ -170,8 +173,8 @@ def find_point(
         return [gf2.vec_from_int(int(i), n) for i in ints], SearchReport(
             True, int(flat) + 1, True
         )
-    rng = np.random.default_rng(seed)
-    for trial in range(budget):
+    rng = np.random.default_rng(_RANDOM_SEED)
+    for trial in range(_RANDOM_TRIALS):
         xs = [rng.integers(0, 2, size=n, dtype=np.uint8) for _ in range(k)]
         good = True
         for vars_, form in c.want_one:
@@ -185,7 +188,7 @@ def find_point(
                     break
         if good:
             return xs, SearchReport(False, trial + 1, True)
-    return None, SearchReport(False, budget, False, _hypothesis_check(c))
+    return None, SearchReport(False, _RANDOM_TRIALS, False, _hypothesis_check(c))
 
 
 def _hypothesis_check(c: PointConstraints) -> bool | None:
@@ -225,11 +228,7 @@ class CoefficientGroup:
 
 
 def extract_coefficients(
-    groups,
-    spurious,
-    target: MultilinearForm,
-    budget: int = 1 << 20,
-    seed: int = 0,
+    groups, spurious, target: MultilinearForm
 ) -> dict[tuple[int, ...], int | None]:
     """Determine the scalars of a sum of cross-group products by evaluation.
 
@@ -267,7 +266,7 @@ def extract_coefficients(
         constraints = PointConstraints(
             target.dim, target.arity, tuple(want_one), tuple(want_zero)
         )
-        point, report = find_point(constraints, budget=budget, seed=seed)
+        point, _ = find_point(constraints)
         out[idx] = None if point is None else forms.evaluate(target, point)
     return out
 
@@ -287,24 +286,19 @@ class ChangeBasisResult:
     gamma_combos: np.ndarray  # columns: coefficients over the input gammas
 
 
-def change_basis(
-    betas,
-    gamma_tables: np.ndarray,
-    budget: int = 1 << 22,
-) -> ChangeBasisResult:
+def change_basis(betas, gamma_tables: np.ndarray) -> ChangeBasisResult:
     """Rewrite sum_i beta_i * gamma_i with s <= r independent gamma values.
 
     ``gamma_tables`` holds the gamma evaluations, one row per input, over an
     enumeration of the complementary block; the witnesses are indices into
     that enumeration.  Every output is an explicit linear combination of the
     inputs, the product sum is preserved exactly, and gamma witnesses hit
-    the delta pattern.
+    the delta pattern.  Cost: r * columns table entries.
     """
     r = len(betas)
     if gamma_tables.shape[0] != r:
         raise DimensionMismatch("need one gamma table per beta")
-    if gamma_tables.shape[1] > budget:
-        raise BudgetExceeded("gamma enumeration exceeds budget")
+    require_work(r * gamma_tables.shape[1], "change_basis")
     # maximal independent set of value-columns, greedy in enumeration order
     chosen: list[int] = []
     basis_rows: list[np.ndarray] = []
@@ -354,9 +348,7 @@ def change_basis(
     )
 
 
-def change_basis_forms(
-    betas, gammas, budget: int = 1 << 22
-) -> ChangeBasisResult:
+def change_basis_forms(betas, gammas) -> ChangeBasisResult:
     """Change of basis for sum_i beta_i(x_I) gamma_i(x_J) with explicit forms.
 
     Returns combinations such that the product sum is preserved exactly
@@ -373,7 +365,7 @@ def change_basis_forms(
     n = gammas[0].dim
     kj = gammas[0].arity
     tables = np.stack([forms.truth_table(g).reshape(-1) for g in gammas])
-    cb = change_basis(betas, tables, budget=budget)
+    cb = change_basis(betas, tables)
     tilde_gammas = []
     for i in range(cb.s):
         acc = forms.zero_form(n, kj)
@@ -448,7 +440,6 @@ def slice_rewrite(
     phi: MultilinearForm,
     cert: PrankCertificate,
     p: DownSet,
-    budget: int = 1 << 22,
     phi_id: str = "phi",
 ) -> PrankCertificate:
     """Rewrite a certificate so every factor is a recorded slice of ``phi``.
@@ -457,7 +448,8 @@ def slice_rewrite(
     factors living on the current subset are replaced, via a change of basis
     and witness evaluations, by slices of ``phi`` plus strictly finer
     products.  The output re-verifies and every partition stays inside the
-    down-set ``p``.
+    down-set ``p``.  Cost per subset I: r * 2^{n * (k - |I|)} gamma table
+    entries, r the number of terms with a factor on I that is not a slice.
     """
     n, k = phi.dim, phi.arity
     if cert.target != phi or not verify_certificate(cert):
@@ -473,11 +465,6 @@ def slice_rewrite(
     for I in subsets:
         I_t = tuple(sorted(I))
         rest = tuple(v for v in range(k) if v not in I)
-        if (1 << (n * len(rest))) > budget:
-            raise StepFailed(
-                "slice_rewrite", f"rest-space enumeration for {I_t} exceeds budget",
-                diagnostics={"subset": I_t},
-            )
         r1, others = [], []
         for term in terms:
             on_I = [f for f in term if f.vars == I_t]
@@ -487,6 +474,7 @@ def slice_rewrite(
                 others.append(term)
         if not r1:
             continue
+        require_work(len(r1) << (n * len(rest)), "slice_rewrite")
         betas = []
         gamma_parts = []
         for term in r1:
@@ -497,7 +485,7 @@ def slice_rewrite(
         tables = np.stack(
             [_product_eval_tables(g, n, rest).reshape(-1) for g in gamma_parts]
         )
-        cb = change_basis(betas, tables, budget=budget)
+        cb = change_basis(betas, tables)
         new_terms: list[tuple[Factor, ...]] = list(others)
         for i in range(cb.s):
             widx = cb.witnesses[i]

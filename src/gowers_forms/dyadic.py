@@ -7,6 +7,8 @@ from fractions import Fraction
 
 from .errors import StepFailed
 
+_PRECISION_BITS = 24  # a log2_bracket is at most 2^-24 wide
+
 
 @dataclass(frozen=True)
 class Dyadic:
@@ -80,8 +82,8 @@ def _coerce(x) -> Fraction:
     return Fraction(x)
 
 
-def log2_bracket(x: Fraction, precision_bits: int = 24) -> tuple[Fraction, Fraction]:
-    """Dyadic bounds lo <= log2(x) <= hi with hi - lo <= 2^-precision_bits.
+def log2_bracket(x: Fraction) -> tuple[Fraction, Fraction]:
+    """Dyadic bounds lo <= log2(x) <= hi with hi - lo <= 2^-24.
 
     Interval arithmetic on wide integer mantissas; the bracket is a single
     point exactly when x is a power of two.
@@ -107,7 +109,7 @@ def log2_bracket(x: Fraction, precision_bits: int = 24) -> tuple[Fraction, Fract
     if lo == hi == one:
         return (Fraction(e), Fraction(e))
     frac_lo = Fraction(0)
-    for i in range(1, precision_bits + 1):
+    for i in range(1, _PRECISION_BITS + 1):
         lo = (lo * lo) >> P
         hi = -((-hi * hi) >> P)  # ceil division by 2^P
         if hi < two:
@@ -119,4 +121,4 @@ def log2_bracket(x: Fraction, precision_bits: int = 24) -> tuple[Fraction, Fract
             continue
         # interval straddles 2: remaining fraction lies in [0, 2^-(i-1)]
         return (e + frac_lo, e + frac_lo + Fraction(1, 1 << (i - 1)))
-    return (e + frac_lo, e + frac_lo + Fraction(1, 1 << precision_bits))
+    return (e + frac_lo, e + frac_lo + Fraction(1, 1 << _PRECISION_BITS))

@@ -1,8 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one size limit.
+
+Every engine states its cost in work units: the cells of the largest array
+it builds, or the items it enumerates.  ``require_work`` refuses a cost above
+WORK_LIMIT = 2^26 units with ``BudgetExceeded`` before anything is allocated.
 
 Infeasibility of a linear system is reported by ``gf2.solve`` returning
 ``None``, not by an exception.
 """
+
+WORK_LIMIT = 1 << 26
 
 
 class GowersFormsError(Exception):
@@ -21,12 +27,18 @@ class NotStronglySymmetric(GowersFormsError):
     """A strong-symmetry precondition does not hold."""
 
 
-class BudgetExceeded(GowersFormsError):
-    """An exhaustive enumeration would exceed the configured budget."""
-
-
 class SizeGuard(GowersFormsError):
     """Inputs fall outside the exact method's guarded domain."""
+
+
+class BudgetExceeded(SizeGuard):
+    """A computation would cost more than WORK_LIMIT work units."""
+
+
+def require_work(units: int, what: str) -> None:
+    """Refuse, before any allocation, a cost of more than WORK_LIMIT units."""
+    if units > WORK_LIMIT:
+        raise BudgetExceeded(f"{what} costs {units} work units, above WORK_LIMIT = {WORK_LIMIT}")
 
 
 class SolverFailed(GowersFormsError):

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .errors import DimensionMismatch, NotStronglySymmetric, NotSymmetric, SizeGuard
-
-# dense storage guard: n^k coefficient bits
-MAX_TENSOR_BITS = 1 << 28
+from .errors import DimensionMismatch, NotStronglySymmetric, NotSymmetric, require_work
 
 
 @dataclass(frozen=True)
 class MultilinearForm:
+    """A k-linear form on F_2^n as its coefficient tensor.  Cost: n^k cells."""
+
     dim: int
     arity: int
     coeffs: np.ndarray
@@ -29,8 +28,7 @@ class MultilinearForm:
     def __post_init__(self):
         if self.arity < 1 or self.dim < 1:
             raise DimensionMismatch("arity and dim must be positive")
-        if self.dim**self.arity > MAX_TENSOR_BITS:
-            raise SizeGuard(f"tensor n^k = {self.dim}^{self.arity} too large")
+        require_work(self.dim**self.arity, "coefficient tensor")
         c = gf2.as_gf2(self.coeffs)
         if c.shape != (self.dim,) * self.arity:
             raise DimensionMismatch(
@@ -248,7 +246,9 @@ def _support_classes(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     canonical (s_0,) * (k - |S| + 1) + (s_1, ...).  Returns the flat indices
     of the canonical tuples in increasing order (one per class) and, with
     shape (n,) * k, the flat index of the canonical tuple of every tuple.
+    Cost: n^k * k cells.
     """
+    require_work(n**k * k, "support classes")
     rows = np.sort(np.indices((n,) * k).reshape(k, -1).T, axis=1)
     # a repeated index becomes one more copy of the least one
     rows[:, 1:] = np.where(rows[:, 1:] == rows[:, :-1], rows[:, :1], rows[:, 1:])
@@ -263,12 +263,11 @@ def lift_strongly_symmetric(f: MultilinearForm) -> MultilinearForm:
     value of ``f`` at any tuple obtained by deleting one copy of a repeated
     index, which is ``f`` at the canonical k-tuple of the same support.
     Well-definedness is exactly strong symmetry, which is enforced.
+    Cost: n^{k+1} * (k+1) cells, for the classes of the lifted tuples.
     """
     if not is_strongly_symmetric(f):
         raise NotStronglySymmetric("lift coefficient rule would be ill-defined")
     n, k = f.dim, f.arity
-    if n ** (k + 1) > MAX_TENSOR_BITS:
-        raise SizeGuard("lifted tensor too large")
     _, canon = _support_classes(n, k + 1)
     # a canonical tuple repeats its leading index iff its support has <= k
     # indices; dropping that leading copy leaves the canonical k-tuple
@@ -296,10 +295,9 @@ def random_strongly_symmetric(n: int, k: int, rng: np.random.Generator) -> Multi
 
 
 def all_strongly_symmetric(n: int, k: int):
-    """Exhaustive iterator; feasible only for tiny class counts."""
+    """Exhaustive iterator.  Cost: 2^classes forms."""
     count = len(_support_classes(n, k)[0])
-    if 2**count > 1 << 20:
-        raise SizeGuard("too many strongly symmetric forms to enumerate")
+    require_work(1 << count, "strongly symmetric enumeration")
     for mask in range(1 << count):
         yield strongly_symmetric_from_bits(n, k, [(mask >> i) & 1 for i in range(count)])
 
@@ -333,16 +331,10 @@ def truth_table(f: MultilinearForm) -> np.ndarray:
     """Full evaluation table, shape (2^n,) * k; table[v1..vk] = f(vec(v1), ...).
 
     Index order: table axis j enumerates variable j over integer-encoded
-    vectors (gf2.vec_from_int).
+    vectors (gf2.vec_from_int).  Contracts in uint8: wraparound mod 256 keeps
+    parity.  Cost: 2^{nk} cells.
     """
-    if f.arity * f.dim > 24:
-        raise SizeGuard("truth table too large")
-    return evaluation_table(f)
-
-
-def evaluation_table(f: MultilinearForm) -> np.ndarray:
-    """``truth_table`` without its size guard, for callers that bound 2^{nk}
-    by their own budget.  Contracts in uint8: wraparound mod 256 keeps parity."""
+    require_work(1 << (f.arity * f.dim), "truth table")
     ev = gf2.all_vectors(f.dim)  # (2^n, n)
     t = f.coeffs
     for _ in range(f.arity):

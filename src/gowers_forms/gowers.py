@@ -21,7 +21,7 @@ import numpy as np
 
 from . import forms, gf2
 from .dyadic import Dyadic
-from .errors import BudgetExceeded, DimensionMismatch, SizeGuard, StepFailed
+from .errors import BudgetExceeded, DimensionMismatch, StepFailed, require_work
 from .forms import MultilinearForm
 from .nonclassical import (
     NonClassicalPoly,
@@ -31,8 +31,6 @@ from .nonclassical import (
     poly_to_table,
 )
 from .rankbias import PrankCertificate, bias, require_valid
-
-DEFAULT_BITS_BUDGET = 26
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -185,17 +183,16 @@ class NormResult:
         return self.power_exact == 1
 
 
-def gowers_norm(f: PhaseFunction, k: int, budget_bits: int = DEFAULT_BITS_BUDGET) -> NormResult:
+def gowers_norm(f: PhaseFunction, k: int) -> NormResult:
     """Uniformity norm of order k >= 1: with g_p over prefixes p of k - 2
     shifts, ||f||_{U^k}^{2^k} = 2^{-(k+2)n} sum_p sum_l |g_p^(l)|^4 for k >= 2,
-    and |f^(0)|^2 / 4^n for k = 1."""
+    and |f^(0)|^2 / 4^n for k = 1.  Cost: 2^{(k-1)n} * L^2 coefficient products."""
     if k < 1:
         raise DimensionMismatch("norm order must be >= 1")
     n = f.n
-    if (k + 1) * n > budget_bits:
-        raise BudgetExceeded("norm enumeration exceeds the bit budget")
     _require_int64((k + 3) * n, "U^k power")
     level = _zeta_level(f)
+    require_work((1 << (k - 1) * n) * level * level, "U^k power")
     if k == 1:
         fhat = _char_sums(f.phases.nums[None, :], level)[0]
         total, bits = _mul(fhat, _conj(fhat)), 2 * n
@@ -226,28 +223,28 @@ def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def box_norm(table: np.ndarray, budget: int = 1 << 22) -> float:
+def box_norm(table: np.ndarray) -> float:
     """Box norm of a complex table on X_1 x ... x X_k (2^k-th root)."""
-    power = box_power(table, budget)
+    power = box_power(table)
     return max(power, 0.0) ** (1.0 / (1 << table.ndim))
 
 
-def box_power(table: np.ndarray, budget: int = 1 << 22) -> float:
+def box_power(table: np.ndarray) -> float:
     table = np.asarray(table)
     corners = {bits: table for bits in range(1 << table.ndim)}
-    return box_mixed_average(corners, table.shape, budget).real
+    return box_mixed_average(corners, table.shape).real
 
 
-def box_mixed_average(tables: dict, shape, budget: int = 1 << 22) -> complex:
+def box_mixed_average(tables: dict, shape) -> complex:
     """The Gowers-Cauchy-Schwarz mixed average: one table per subset of axes.
     Corner ``bits`` reads axis i at x_i if bit i is set, else at y_i, and is
-    conjugated when it has an odd number of set bits."""
+    conjugated when it has an odd number of set bits.
+    Cost: (|X_1| ... |X_k|)^2 * 2^k corner values."""
     k = len(shape)
     pairs = 1
     for s in shape:
         pairs *= s * s
-    if pairs * (1 << k) > budget:
-        raise BudgetExceeded("mixed average enumeration exceeds budget")
+    require_work(pairs << k, "box mixed average")
     corners = []
     for bits in range(1 << k):
         t = np.asarray(tables[bits], dtype=np.complex128)
@@ -288,21 +285,25 @@ class CorrelationReport:
         return abs(self.value)
 
 
-def correlation(
-    f: PhaseFunction, alpha: MultilinearForm, budget_bits: int = DEFAULT_BITS_BUDGET
-) -> CorrelationReport:
+def _correlation_cost(n: int, k: int, level: int) -> int:
+    """The 2^{kn} cells of the derivative tables, or the 2^{(k-1)n} * L^2
+    coefficient products of the sums, whichever is larger."""
+    return max(1 << k * n, (1 << (k - 1) * n) * level * level)
+
+
+def correlation(f: PhaseFunction, alpha: MultilinearForm) -> CorrelationReport:
     """2^{-(k+1)n} sum_p |g_p^(l_p)|^2 over prefixes p of k - 1 shifts, with
-    l_p = alpha(p, .) read from a histogram of the exponents of g_p(x) (-1)^{l_p.x}."""
+    l_p = alpha(p, .) read from a histogram of the exponents of g_p(x) (-1)^{l_p.x}.
+    Cost: max(2^{kn}, 2^{(k-1)n} * L^2)."""
     if alpha.dim != f.n:
         raise DimensionMismatch("form and function dimensions differ")
     k, n = alpha.arity, f.n
     bits = (k + 1) * n
-    if bits > budget_bits:
-        raise BudgetExceeded("correlation enumeration exceeds the bit budget")
     _require_int64(bits, "correlation")
     level = _zeta_level(f)
+    require_work(_correlation_cost(n, k, level), "correlation")
     exponents = derivative_tables(f.phases, k - 1)
-    table = forms.evaluation_table(alpha).reshape(exponents.shape)
+    table = forms.truth_table(alpha).reshape(exponents.shape)
     exponents += np.multiply(table, level, dtype=np.int64)  # (-1)^{l_p.x} = zeta^{L alpha(p, x)}
     ghat = _char_sums(exponents, level)
     value, err, exact = _real_value(_mul(ghat, _conj(ghat)).sum(axis=0), bits)
@@ -320,33 +321,28 @@ def _monomial_codes(n: int, k: int) -> np.ndarray:
 
 
 def spectrum_search(
-    f: PhaseFunction,
-    k: int,
-    threshold: float,
-    candidates=None,
-    budget_bits: int = DEFAULT_BITS_BUDGET,
+    f: PhaseFunction, k: int, threshold: float, candidates=None
 ) -> list[tuple[MultilinearForm, CorrelationReport]]:
     """All forms whose correlation magnitude reaches the threshold, sorted
-    descending; enumerates the full form space when n^k <= 16, otherwise a
-    candidate list must be supplied.  The full enumeration transforms |g_p^|^2
-    back to 2^n sum_x Delta_{p,a} f(x), pushes these along the monomial map
-    and transforms over the form space."""
+    descending, over the candidates or else over the full form space.  The
+    full enumeration transforms |g_p^|^2 back to 2^n sum_x Delta_{p,a} f(x),
+    pushes these along the monomial map and transforms over the form space.
+    Cost: 2^{kn} * L^2, then n^k * 2^{n^k} * L for the form-space transform."""
     n = f.n
     if candidates is not None:
         out = []
         for alpha in candidates:
-            rep = correlation(f, alpha, budget_bits)
+            rep = correlation(f, alpha)
             if rep.magnitude() >= threshold - rep.err:
                 out.append((alpha, rep))
         out.sort(key=lambda p: (-p[1].magnitude(), p[0].support()))
         return out
-    if n**k > 16:
-        raise SizeGuard("form space too large; supply candidates")
-    if (k + 1) * n > budget_bits:
-        raise BudgetExceeded("spectrum enumeration exceeds the bit budget")
     bits = (k + 2) * n
     _require_int64(bits, "spectrum")
     level = _zeta_level(f)
+    require_work((1 << k * n) * level * level, "spectrum sums")
+    # the check above bounds kn by 26, so n^k is small enough to shift by
+    require_work((n**k << n**k) * level, "form space (supply candidates)")
     ghat = walsh_hadamard(_zeta_powers(derivative_tables(f.phases, k - 1).T, level))
     sums = walsh_hadamard(_mul(ghat, _conj(ghat)))  # axes (a, p, L)
     sums = sums.transpose(1, 0, 2).reshape(-1, level)  # row-major (p, a)
@@ -402,25 +398,20 @@ class RestrictReport:
 
 
 def subspace_restrict(
-    f: PhaseFunction,
-    alpha: MultilinearForm,
-    u: gf2.Subspace,
-    budget: int = 1 << 22,
-    budget_bits: int = DEFAULT_BITS_BUDGET,
+    f: PhaseFunction, alpha: MultilinearForm, u: gf2.Subspace
 ) -> tuple[PhaseFunction, RestrictReport]:
     """A translate of f restricted to U preserving the derivative correlation.
 
     The averaging argument guarantees some coset shift works; all shifts from
     the complement are tried and the best is returned, so the contract
     corr_after >= corr_before - tolerance holds, with tolerance 0 when both
-    correlations are exact.
+    correlations are exact.  Cost: 2^codim(U) times one correlation on U.
     """
     k = alpha.arity
     p = gf2.complement_projection(u)
     d = p.complement_basis.shape[0]
-    if (1 << d) ** (k + 1) > budget:
-        raise BudgetExceeded("complement enumeration exceeds budget")
-    before = correlation(f, alpha, budget_bits)
+    require_work(_correlation_cost(u.dim, k, _zeta_level(f)) << d, "subspace_restrict")
+    before = correlation(f, alpha)
     alpha_u = forms.restrict_to_subspace(alpha, u)
     best = None
     per_shift = []
@@ -430,7 +421,7 @@ def subspace_restrict(
             if (mask >> i) & 1:
                 w ^= p.complement_basis[i]
         fu = restrict_phase(f, u, w)
-        rep = correlation(fu, alpha_u, budget_bits)
+        rep = correlation(fu, alpha_u)
         per_shift.append((mask, rep.magnitude()))
         if best is None or rep.magnitude() > best[1].magnitude():
             best = (w, rep, fu)
@@ -463,12 +454,11 @@ def symmetry_argument_check(
 
 def sumset4_verify(points, v: gf2.Subspace, n: int | None = None) -> bool:
     """Exact membership of every element of V in A+A+A+A via two squaring
-    passes of the indicator under the Walsh transform."""
+    passes of the indicator under the Walsh transform.  Cost: n * 2^n."""
     pts = list(points)
     if n is None:
         n = v.ambient_dim
-    if n > 16:
-        raise SizeGuard("sumset verification supports n <= 16")
+    require_work(n << n, "sumset4_verify")
     ind = np.zeros(1 << n, dtype=np.int64)
     for x in pts:
         ind[gf2.vec_to_int(x) if not isinstance(x, (int, np.integer)) else int(x)] = 1

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import forms, gf2
 from .dyadic import Dyadic
-from .errors import DimensionMismatch, SizeGuard, SolverFailed
+from .errors import DimensionMismatch, SolverFailed, require_work
 from .forms import MultilinearForm
 
 
@@ -90,12 +90,12 @@ def additive_derivative(f: TorusFunction, a) -> TorusFunction:
 def derivative_tables(f: TorusFunction, depth: int) -> np.ndarray:
     """Numerators (mod 2^log2_den) of every depth-fold additive derivative:
     row p of the (2^{depth*n}, 2^n) result is D_{a_1} ... D_{a_depth} f, with
-    p = (a_1, ..., a_depth) in row-major order."""
+    p = (a_1, ..., a_depth) in row-major order.  Cost: 2^{(depth+1)n} cells."""
+    require_work(1 << ((depth + 1) * f.n), "derivative tables")
     size = 1 << f.n
-    xor = np.arange(size)[:, None] ^ np.arange(size)  # xor[a, x] = x + a
     tables = f.nums[None, :].copy()
     for _ in range(depth):
-        shifted = tables[:, xor]
+        shifted = tables[:, np.arange(size)[:, None] ^ np.arange(size)]  # [p, a, x]: x + a
         shifted -= tables[:, None, :]
         shifted %= 1 << f.log2_den
         tables = shifted.reshape(-1, size)
@@ -148,6 +148,8 @@ class NonClassicalPoly:
             if (s, j) in seen:
                 raise DimensionMismatch("duplicate monomial")
             seen.add((s, j))
+        if self.degree_bound < 0 and self.constant.num:
+            raise DimensionMismatch("a nonzero constant exceeds a negative degree bound")
         object.__setattr__(
             self,
             "coeffs",
@@ -183,11 +185,11 @@ def poly_to_table(q: NonClassicalPoly) -> TorusFunction:
 
 def poly_from_table(f: TorusFunction, d: int) -> NonClassicalPoly:
     """Recover the monomial representation of a degree <= d table from its
-    Mobius digits.  Raises SolverFailed when the table has a monomial with
-    |S| + j > d."""
+    Mobius digits.  Raises SolverFailed when degree(f) > d."""
     masks, js, weights = _monomial_digits(f)
-    if (weights > d).any():
-        raise SolverFailed(f"table has a monomial beyond degree {d}")
+    # with no monomial the table is the constant f(0), of degree 0 unless zero
+    if (weights > d).any() or (d < 0 and f.nums[0]):
+        raise SolverFailed(f"table has degree above {d}")
     coeffs = tuple(
         (tuple(v for v in range(f.n) if (mask >> v) & 1), j)
         for mask, j in zip(masks.tolist(), js.tolist())
@@ -210,9 +212,7 @@ def poly_from_table(f: TorusFunction, d: int) -> NonClassicalPoly:
 # ---------------------------------------------------------------------------
 
 
-def integrate(
-    sigma: MultilinearForm, verify: bool = True, guard_bits: int = 22
-) -> NonClassicalPoly:
+def integrate(sigma: MultilinearForm, verify: bool = True) -> NonClassicalPoly:
     """A polynomial q of degree <= k whose k-fold derivatives realize
     half the indicator of sigma: each derivative table equals |sigma(a)|/2.
 
@@ -223,6 +223,7 @@ def integrate(
     support S and 0 elsewhere, and multi-additivity of both sides in each
     shift slot extends the identity from basis tuples to all of G^k.  The
     full identity is re-verified before returning unless disabled.
+    Cost: n^k * k cells, and 2^{kn} cells to verify.
     """
     if not forms.is_strongly_symmetric(sigma):
         raise DimensionMismatch("integration requires a strongly symmetric form")
@@ -234,8 +235,6 @@ def integrate(
         coeffs.append((s, k - len(s)))
     q = NonClassicalPoly(n, k, TorusValue.zero(), tuple(coeffs))
     if verify:
-        if (k + 1) * n > guard_bits:
-            raise SizeGuard("full verification grid exceeds the guard")
         ok, _ = derivative_identity_check(poly_to_table(q), sigma)
         if not ok:
             raise SolverFailed("verification of the derivative identity failed")
@@ -250,19 +249,21 @@ def derivative_identity_check(table: TorusFunction, sigma: MultilinearForm) -> t
     D_{p,a} q = sigma(p, a)/2 for all (p, a) iff g_p(x) - g_p(0) = sigma(p, x)/2
     for all (p, x) (take x = 0 one way; the other uses sigma(p, x + a) =
     sigma(p, x) + sigma(p, a) and -1/2 = 1/2).  On failure it counts the
-    tuples up to the first failing one in row-major order.
+    tuples up to the first failing one in row-major order.  Cost: 2^{kn} cells.
     """
     n, k = sigma.dim, sigma.arity
     # a table with log2_den 0 is zero, so its numerators serve at denominator 2^m
     m = max(table.log2_den, 1)
     g = derivative_tables(table, k - 1)
-    half_sigma = forms.evaluation_table(sigma).reshape(g.shape).astype(np.int64) << (m - 1)
+    half_sigma = forms.truth_table(sigma).reshape(g.shape).astype(np.int64) << (m - 1)
     defect = (g - g[:, :1] - half_sigma) % (1 << m)
     bad = np.flatnonzero(defect.any(axis=1))
     if bad.size == 0:
         return True, 1 << (k * n)
-    # D_{p,a} q is constant |sigma(p,a)|/2 exactly when the defect row is a-periodic
+    # D_{p,a} q is constant |sigma(p,a)|/2 exactly when the defect row is
+    # a-periodic.  Its periods form a subspace, which holds every a < 2^i
+    # when it holds e_0 .. e_{i-1}, so the first failing a is a unit vector.
     row = defect[bad[0]]
-    xor = np.arange(1 << n)[:, None] ^ np.arange(1 << n)
-    first_a = int(np.argmin((row[xor] == row).all(axis=1)))
+    x = np.arange(1 << n)
+    first_a = next(1 << i for i in range(n) if (row[x ^ (1 << i)] != row).any())
     return False, int(bad[0]) * (1 << n) + first_a + 1

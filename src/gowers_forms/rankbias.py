@@ -24,12 +24,11 @@ from .errors import (
     DimensionMismatch,
     SizeGuard,
     StepFailed,
+    require_work,
 )
 from .forms import MultilinearForm
 
 Bias = Dyadic
-
-DEFAULT_EVAL_BUDGET = 1 << 26
 
 _AXIS_LETTERS = "abcdefghij"
 
@@ -39,20 +38,18 @@ _AXIS_LETTERS = "abcdefghij"
 # ---------------------------------------------------------------------------
 
 
-def bias(f: MultilinearForm, budget: int = DEFAULT_EVAL_BUDGET) -> Dyadic:
+def bias(f: MultilinearForm) -> Dyadic:
     """Average of (-1)^f over all inputs, exactly.
 
     Fast path: averaging out the last variable shows
     bias = Pr over the other variables that the contracted linear form is
     zero; with the last two axes handled by kernel counting the work is
-    2^{(k-2)n} rank computations.
+    2^{(k-2)n} rank computations.  Cost: 2^{(k-2)n} * n^2 matrix cells.
     """
     n, k = f.dim, f.arity
     if k == 1:
         return Dyadic(1, 0) if f.is_zero() else Dyadic.zero()
-    work = (1 << max(0, (k - 2) * n)) * n * n
-    if work > budget:
-        raise BudgetExceeded(f"bias fast path needs ~{work} ops, budget {budget}")
+    require_work((1 << (k - 2) * n) * n * n, "bias")
     numerator = _bias_count(f.coeffs.astype(np.int64), n)
     return Dyadic(numerator, (k - 1) * n)
 
@@ -67,14 +64,6 @@ def _bias_count(t: np.ndarray, n: int) -> int:
     for v in vectors:
         total += _bias_count(np.tensordot(v, t, axes=([0], [0])) % 2, n)
     return total
-
-
-def bias_naive(f: MultilinearForm) -> Dyadic:
-    """Direct 2^{kn} enumeration; the independent oracle for the fast path."""
-    table = forms.truth_table(f)
-    plus = int((table == 0).sum())
-    minus = int((table == 1).sum())
-    return Dyadic(plus - minus, f.dim * f.arity)
 
 
 @dataclass(frozen=True)
@@ -380,21 +369,18 @@ class RankDecision:
 
 @dataclass(frozen=True)
 class RankProxyPolicy:
-    """Explicit, logged stand-in for high partition rank hypotheses.
+    """Explicit stand-in for high partition rank hypotheses.
 
     ``decide_low_rank(f, bound)`` answers "prank(f) <= bound?".  Modes:
     exact-bilinear (matrix rank, certificate), exhaustive-tiny (n = 2
-    classification, certificate), bias-threshold (low iff bias >= threshold,
-    no certificate), and auto = first applicable of the three in that order.
+    classification, certificate), bias-threshold (low iff bias >= 2^-bound,
+    no certificate; undecided when ``bias`` refuses the form), and auto =
+    first applicable of the three in that order.
     """
 
     mode: str = "auto"
-    budget: int = 1 << 20
-    bias_threshold: Dyadic | None = None  # default: 2^-bound
 
     def __post_init__(self):
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
         if self.mode not in ("auto", "exact-bilinear", "exhaustive-tiny", "bias-threshold"):
             raise ValueError(f"unknown policy mode {self.mode!r}")
 
@@ -411,13 +397,10 @@ class RankProxyPolicy:
             return RankDecision(r <= bound, "exhaustive-tiny", bound, cert if r <= bound else None)
         if self.mode in ("auto", "bias-threshold"):
             try:
-                b = bias(f, budget=self.budget)
+                b = bias(f)
             except BudgetExceeded:
                 return RankDecision(None, "none", bound)
-            thresh = self.bias_threshold
-            if thresh is None:
-                thresh = Dyadic(1, bound)
-            return RankDecision(bool(b >= thresh), "bias-threshold", bound, None, b)
+            return RankDecision(bool(b >= Dyadic(1, bound)), "bias-threshold", bound, None, b)
         return RankDecision(None, "none", bound)
 
 

@@ -126,6 +126,14 @@ class TestFindPoint:
         assert forms.evaluate(dot_form(n), [point[1], point[2]]) == 0
         assert point[0][2] == 0
 
+    def test_random_fallback_past_the_work_limit(self):
+        # 2^{nk} = 2^27 tuples are past the work limit: seeded random trials
+        n = 9
+        f = forms.diagonal_form(n, 3)
+        point, report = find_point(PointConstraints.build(n, 3, want_one=f))
+        assert report.found and not report.exhaustive
+        assert forms.evaluate(f, point) == 1
+
 
 class TestExtractCoefficients:
     def test_single_product_recovered(self):

@@ -412,7 +412,7 @@ class TestApplyLinear:
         f = data.draw(st.lists(st.integers(0, 1), min_size=n**k, max_size=n**k).map(
             lambda bits: MultilinearForm(n, k, np.array(bits, dtype=np.uint8).reshape((n,) * k))
         ))
-        tab = forms.evaluation_table(f)
+        tab = forms.truth_table(f)
         assert tab.shape == (1 << n,) * k
         for _ in range(8):
             point = data.draw(st.tuples(*[st.integers(0, (1 << n) - 1)] * k))

@@ -317,11 +317,11 @@ class TestSpectrum:
             spectrum_search(f, 3, 0.5)
 
     def test_bit_budget(self):
-        # the full enumeration holds (k+1)n bits to the budget, as correlation does
+        # 2^{kn} derivative-table cells past the work limit, in both engines
         with pytest.raises(BudgetExceeded):
-            spectrum_search(PhaseFunction.one(1), 12, 0.5, budget_bits=10)
+            spectrum_search(PhaseFunction.one(1), 27, 0.5)
         with pytest.raises(BudgetExceeded):
-            correlation(PhaseFunction.one(1), forms.zero_form(1, 12), budget_bits=10)
+            correlation(PhaseFunction.one(1), forms.zero_form(1, 27))
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -408,9 +408,9 @@ class TestSubspaceRestrict:
     def test_codim_one_planted(self):
         # planted correlating f at n=4, k=4: restriction keeps correlation
         sigma = diagonal_form(4, 4)
-        f = PhaseFunction.from_poly(integrate(sigma, guard_bits=24))
+        f = PhaseFunction.from_poly(integrate(sigma))
         u = gf2.Subspace.from_kernel_of([gf2.unit(4, 3)], 4)
-        fu, report = subspace_restrict(f, sigma, u, budget_bits=26)
+        fu, report = subspace_restrict(f, sigma, u)
         assert report.corr_after >= report.corr_before - report.tolerance
 
     def test_adversarial_offcoset(self):

@@ -292,6 +292,13 @@ class TestPolyFromTable:
         with pytest.raises(SolverFailed):
             poly_from_table(poly_to_table(q), 1)
 
+    def test_nonzero_constant_needs_degree_zero(self):
+        with pytest.raises(SolverFailed):
+            poly_from_table(TorusFunction(2, [1, 1, 1, 1], 1), -1)
+        assert poly_from_table(TorusFunction.zeros(2), -1).constant == TorusValue.zero()
+        with pytest.raises(DimensionMismatch):
+            NonClassicalPoly(2, -1, TorusValue(1, 1))
+
 
 class TestIntegrate:
     def test_zero_form(self):

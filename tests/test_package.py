@@ -22,6 +22,49 @@ def test_no_assert_statements():
     assert not found, f"assert statements in src: {found}"
 
 
+def _trees():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
+def test_no_budget_knobs():
+    # one work limit for every engine: no per-call budget parameter or field
+    knobs = {"budget", "budget_bits", "guard_bits"}
+    found = []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                found += [f"{name}:{node.name}({a.arg})" for a in args if a.arg in knobs]
+            elif isinstance(node, ast.ClassDef):
+                found += [
+                    f"{name}:{node.name}.{stmt.target.id}"
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and stmt.target.id in knobs
+                ]
+    assert not found, f"budget knobs in src: {found}"
+
+
+def test_budget_exceeded_raised_only_by_the_helpers():
+    # every size guard goes through errors.require_work; gowers._require_int64
+    # is an exactness bound on int64 sums, not a budget
+    allowed = {"require_work", "_require_int64"}
+    found = []
+    for name, tree in _trees():
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in allowed:
+                inside |= {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and id(node) not in inside:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "BudgetExceeded":
+                    found.append(f"{name}:{node.lineno}")
+    assert not found, f"BudgetExceeded raised outside the helpers: {found}"
+
+
 def _bench_module(name):
     if str(BENCH) not in sys.path:
         sys.path.insert(0, str(BENCH))
