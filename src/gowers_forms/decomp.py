@@ -286,6 +286,16 @@ class ChangeBasisResult:
     gamma_combos: np.ndarray  # columns: coefficients over the input gammas
 
 
+def _combine(combos: np.ndarray, fs) -> np.ndarray:
+    """Row i: the flat coefficient tensor of sum_j combos[i, j] * fs[j]."""
+    return gf2.matmul(combos, np.stack([f.coeffs.reshape(-1) for f in fs]))
+
+
+def _as_forms(rows: np.ndarray, like: MultilinearForm) -> list[MultilinearForm]:
+    shape = (like.dim,) * like.arity
+    return [MultilinearForm(like.dim, like.arity, row.reshape(shape)) for row in rows]
+
+
 def change_basis(betas, gamma_tables: np.ndarray) -> ChangeBasisResult:
     """Rewrite sum_i beta_i * gamma_i with s <= r independent gamma values.
 
@@ -300,51 +310,18 @@ def change_basis(betas, gamma_tables: np.ndarray) -> ChangeBasisResult:
         raise DimensionMismatch("need one gamma table per beta")
     require_work(r * gamma_tables.shape[1], "change_basis")
     # maximal independent set of value-columns, greedy in enumeration order
-    chosen: list[int] = []
-    basis_rows: list[np.ndarray] = []
-    reduced_rows: list[np.ndarray] = []
-    for col in range(gamma_tables.shape[1]):
-        v = gamma_tables[:, col].astype(np.uint8)
-        red = v.copy()
-        for row in reduced_rows:
-            p = int(np.nonzero(row)[0][0])
-            if red[p]:
-                red ^= row
-        if red.any():
-            chosen.append(col)
-            basis_rows.append(v)
-            # keep rows reduced for membership tests
-            reduced_rows.append(red)
-            order = np.argsort([int(np.nonzero(x)[0][0]) for x in reduced_rows])
-            reduced_rows = [reduced_rows[i] for i in order]
-        if len(chosen) == r:
-            break
-    s = len(chosen)
-    v_mat = np.zeros((r, r), dtype=np.uint8)
-    for i, row in enumerate(basis_rows):
-        v_mat[i] = row
-    # complete to a basis of F_2^r with unit vectors
-    fill = s
-    for j in range(r):
-        if fill == r:
-            break
-        cand = v_mat.copy()
-        cand[fill] = 0
-        cand[fill, j] = 1
-        if gf2.rank(cand[: fill + 1]) == fill + 1:
-            v_mat = cand
-            fill += 1
-    m_mat = gf2.invert(v_mat)
-    tilde_betas = []
-    for i in range(s):
-        acc = forms.zero_form(betas[0].dim, betas[0].arity)
-        for j in range(r):
-            if v_mat[i, j]:
-                acc = acc + betas[j]
-        tilde_betas.append(acc)
-    gamma_combos = m_mat  # column i gives tilde_gamma_i over the inputs
+    s, reduced, _ = gf2.rref(gamma_tables)
+    chosen = gf2.pivot_columns(reduced[:s])
+    columns = gf2.as_gf2(gamma_tables[:, chosen])
+    # complete to a basis of F_2^r with the first unit vectors outside the span
+    eye = np.eye(r, dtype=np.uint8)
+    _, reduced, _ = gf2.rref(np.concatenate([columns, eye], axis=1))
+    units = [c - s for c in gf2.pivot_columns(reduced)[s:]]
+    v_mat = np.concatenate([columns.T, eye[units]])
+    tilde_betas = _as_forms(_combine(v_mat[:s], betas), betas[0]) if s else []
+    # column i of the inverse gives tilde_gamma_i over the inputs
     return ChangeBasisResult(
-        s, tilde_betas, None, chosen, v_mat[:s].copy(), gamma_combos
+        s, tilde_betas, None, chosen, v_mat[:s].copy(), gf2.invert(v_mat)
     )
 
 
@@ -366,25 +343,15 @@ def change_basis_forms(betas, gammas) -> ChangeBasisResult:
     kj = gammas[0].arity
     tables = np.stack([forms.truth_table(g).reshape(-1) for g in gammas])
     cb = change_basis(betas, tables)
-    tilde_gammas = []
-    for i in range(cb.s):
-        acc = forms.zero_form(n, kj)
-        for j in range(r):
-            if cb.gamma_combos[j, i]:
-                acc = acc + gammas[j]
-        tilde_gammas.append(acc)
+    combos = _combine(cb.gamma_combos.T, gammas)
     # discarded combinations must vanish identically
-    for i in range(cb.s, r):
-        acc = forms.zero_form(n, kj)
-        for j in range(r):
-            if cb.gamma_combos[j, i]:
-                acc = acc + gammas[j]
-        if not acc.is_zero():
-            raise CertificateInvalid("change of basis: a discarded gamma combination is nonzero")
+    if combos[cb.s:].any():
+        raise CertificateInvalid("change of basis: a discarded gamma combination is nonzero")
+    tilde_gammas = _as_forms(combos[: cb.s], gammas[0])
     # exact product-sum equality
-    ki = betas[0].arity
-    left = _product_sum(betas, gammas, ki, kj, n)
-    right = _product_sum(cb.tilde_betas, tilde_gammas, ki, kj, n)
+    k = betas[0].arity + kj
+    left = _product_sum(betas, gammas, n, k)
+    right = _product_sum(cb.tilde_betas, tilde_gammas, n, k)
     if not np.array_equal(left, right):
         raise CertificateInvalid("change of basis does not preserve the product sum")
     witnesses = []
@@ -396,15 +363,16 @@ def change_basis_forms(betas, gammas) -> ChangeBasisResult:
     return cb
 
 
-def _product_sum(lefts, rights, ki, kj, n):
-    acc = np.zeros((n,) * (ki + kj), dtype=np.uint8)
-    letters = "abcdefghij"
-    expr = f"{letters[:ki]},{letters[ki:ki + kj]}->{letters[:ki + kj]}"
-    for b, g in zip(lefts, rights):
-        acc ^= (
-            np.einsum(expr, b.coeffs.astype(np.int64), g.coeffs.astype(np.int64)) % 2
-        ).astype(np.uint8)
-    return acc
+def _product_sum(lefts, rights, n, k):
+    """Coefficient tensor of sum_i lefts[i](x_0..) * rights[i](..x_{k-1})."""
+    return expand_terms(
+        [
+            (Factor(tuple(range(b.arity)), b), Factor(tuple(range(b.arity, k)), g))
+            for b, g in zip(lefts, rights)
+        ],
+        n,
+        k,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,8 @@ def _support_classes(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     # a repeated index becomes one more copy of the least one
     rows[:, 1:] = np.where(rows[:, 1:] == rows[:, :-1], rows[:, :1], rows[:, 1:])
     canon = np.sort(rows, axis=1) @ (n ** np.arange(k - 1, -1, -1))
-    return np.unique(canon), canon.reshape((n,) * k)
+    # the canonical tuples are the fixed points of the class map
+    return np.flatnonzero(canon == np.arange(canon.size)), canon.reshape((n,) * k)
 
 
 def lift_strongly_symmetric(f: MultilinearForm) -> MultilinearForm:

@@ -4,6 +4,12 @@ Vectors are 1-D ``numpy`` arrays of dtype ``uint8`` with entries in {0, 1};
 matrices are 2-D arrays of the same kind.  Every operation is exact.  All
 returned arrays are fresh copies owned by the caller; subspaces and
 projection data are immutable after construction.
+
+``rref`` is the only elimination in the package: rank, solving, kernels,
+membership, projections and ``decomp.change_basis`` all read its output.
+Its contract is that the pivot columns of the reduced matrix are the greedy
+independent columns of the input: column c is a pivot exactly when it is
+not in the span of columns 0..c-1.  ``change_basis`` relies on that order.
 """
 
 from __future__ import annotations
@@ -52,14 +58,13 @@ def all_vectors(n: int) -> np.ndarray:
 
 
 def matmul(a, b) -> np.ndarray:
-    """Matrix product mod 2 (also handles matrix @ vector)."""
-    return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64) % 2).astype(
-        np.uint8
-    )
+    """Matrix product mod 2 (also handles matrix @ vector and stacks).
 
-
-def dot(u, v) -> int:
-    return int(np.asarray(u, dtype=np.int64) @ np.asarray(v, dtype=np.int64) % 2)
+    The product runs in uint8: its sums wrap mod 256, which keeps their parity.
+    """
+    out = np.asarray(a, dtype=np.uint8) @ np.asarray(b, dtype=np.uint8)
+    out &= 1
+    return out
 
 
 def rref(m) -> tuple[int, np.ndarray, np.ndarray]:
@@ -104,12 +109,7 @@ def rank(m) -> int:
 
 def pivot_columns(basis: np.ndarray) -> list[int]:
     """Pivot column of each nonzero row of an RREF matrix."""
-    pivots = []
-    for row in basis:
-        nz = np.nonzero(row)[0]
-        if nz.size:
-            pivots.append(int(nz[0]))
-    return pivots
+    return [int(np.argmax(row)) for row in basis if row.any()]
 
 
 def solve(m, rhs) -> np.ndarray | None:
@@ -122,37 +122,36 @@ def solve(m, rhs) -> np.ndarray | None:
     b = as_gf2(rhs)
     if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.shape[0]:
         raise DimensionMismatch("solve expects matrix and rhs of matching rows")
-    rows, cols = a.shape
-    aug = np.concatenate([a, b[:, None]], axis=1)
-    _, red, _ = rref(aug)
+    cols = a.shape[1]
+    r, red, _ = rref(np.concatenate([a, b[:, None]], axis=1))
+    pivots = pivot_columns(red[:r])
+    if pivots and pivots[-1] == cols:
+        return None
+    # RREF rows have disjoint pivots, so each pivot variable is read off
     x = zeros(cols)
-    for row in red:
-        nz = np.nonzero(row)[0]
-        if nz.size == 0:
-            continue
-        p = int(nz[0])
-        if p == cols:
-            return None
-        # back-substitution is immediate: RREF rows have disjoint pivots
-        x[p] = row[cols]
+    x[pivots] = red[:r, cols]
     # verify (cheap, keeps the contract airtight against degenerate input)
     if not np.array_equal(matmul(a, x), b):
         return None
     return x
 
 
+def _nonpivots(pivots: list[int], n: int) -> np.ndarray:
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    return np.flatnonzero(free)
+
+
 def kernel_basis(m) -> np.ndarray:
-    """Basis (rows) of the null space {x : m @ x == 0}."""
+    """Basis (rows) of the null space {x : m @ x == 0}: for each free column
+    c, 1 at c and column c of the RREF at the pivot positions."""
     a = as_gf2(m)
-    rows, cols = a.shape
+    cols = a.shape[1]
     r, red, _ = rref(a)
     pivots = pivot_columns(red[:r])
-    free = [c for c in range(cols) if c not in pivots]
-    out = np.zeros((len(free), cols), dtype=np.uint8)
-    for j, fc in enumerate(free):
-        out[j, fc] = 1
-        for i, pc in enumerate(pivots):
-            out[j, pc] = red[i, fc]
+    free = _nonpivots(pivots, cols)
+    out = np.eye(cols, dtype=np.uint8)[free]
+    out[:, pivots] = red[:r, free].T
     return out
 
 
@@ -221,21 +220,9 @@ class Subspace:
 
     def contains(self, v) -> bool:
         v = as_gf2(v)
-        red = v.copy()
-        for row in self.basis:
-            p = int(np.nonzero(row)[0][0])
-            if red[p]:
-                red ^= row
-        return not red.any()
-
-    def coords(self, v) -> np.ndarray:
-        """Coordinates of a member vector in the RREF basis."""
-        v = as_gf2(v)
-        pivots = pivot_columns(self.basis)
-        c = v[pivots].copy() if pivots else zeros(0)
-        if not np.array_equal(matmul(c, self.basis) if self.dim else zeros(self.ambient_dim), v):
-            raise DimensionMismatch("vector not in subspace")
-        return c
+        if v.shape != (self.ambient_dim,):
+            raise DimensionMismatch("vector length does not match ambient dim")
+        return np.array_equal(self.from_coords(v[pivot_columns(self.basis)]), v)
 
     def from_coords(self, c) -> np.ndarray:
         c = as_gf2(c)
@@ -293,20 +280,13 @@ def complement_projection(u: Subspace) -> ProjectionData:
     """Projection data for ``u`` with unit-vector complement basis."""
     n = u.ambient_dim
     pivots = pivot_columns(u.basis)
-    nonpivots = [c for c in range(n) if c not in pivots]
-    w = np.zeros((len(nonpivots), n), dtype=np.uint8)
-    for i, c in enumerate(nonpivots):
-        w[i, c] = 1
+    nonpivots = _nonpivots(pivots, n)
+    eye = np.eye(n, dtype=np.uint8)
+    w = eye[nonpivots]
     # phi_i(x) = coordinate of x - project(x) at the i-th non-pivot position:
     # phi_i(x) = x[q_i] - sum_j x[p_j] * basis[j, q_i]
-    coord = np.zeros((u.dim, n), dtype=np.uint8)
-    for j, p in enumerate(pivots):
-        coord[j, p] = 1
-    phi = np.zeros((len(nonpivots), n), dtype=np.uint8)
-    for i, q in enumerate(nonpivots):
-        phi[i, q] = 1
-        for j in range(u.dim):
-            phi[i] ^= (u.basis[j, q] & 1) * coord[j]
+    coord = eye[pivots]
+    phi = w ^ matmul(u.basis[:, nonpivots].T, coord)
     w.setflags(write=False)
     phi.setflags(write=False)
     coord.setflags(write=False)

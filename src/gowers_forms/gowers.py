@@ -55,7 +55,7 @@ class PhaseFunction:
     def from_signs(signs) -> "PhaseFunction":
         arr = np.asarray(signs, dtype=np.int64)
         n = int(arr.shape[0]).bit_length() - 1
-        if arr.shape != (1 << n,) or not set(np.unique(arr)) <= {-1, 1}:
+        if arr.shape != (1 << n,) or not (np.abs(arr) == 1).all():
             raise DimensionMismatch("signs must be a +-1 table of length 2^n")
         return PhaseFunction(TorusFunction(n, (1 - arr) // 2, 1))
 

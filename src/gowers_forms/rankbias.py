@@ -28,8 +28,6 @@ from .errors import (
 )
 from .forms import MultilinearForm
 
-Bias = Dyadic
-
 _AXIS_LETTERS = "abcdefghij"
 
 
@@ -41,29 +39,24 @@ _AXIS_LETTERS = "abcdefghij"
 def bias(f: MultilinearForm) -> Dyadic:
     """Average of (-1)^f over all inputs, exactly.
 
-    Fast path: averaging out the last variable shows
-    bias = Pr over the other variables that the contracted linear form is
-    zero; with the last two axes handled by kernel counting the work is
-    2^{(k-2)n} rank computations.  Cost: 2^{(k-2)n} * n^2 matrix cells.
+    Averaging out the last variable shows bias = Pr over the other variables
+    that the contracted linear form is zero.  One step contracts the first
+    k - 2 variables with every vector at once (k - 2 matrix products against
+    ``all_vectors``), leaving the 2^{(k-2)n} n x n matrices of the last two;
+    each matrix m leaves 2^{n - rank m} zero forms.  Cost: 2^{(k-2)n} * n^2
+    matrix cells, the size of that stack.
     """
     n, k = f.dim, f.arity
     if k == 1:
         return Dyadic(1, 0) if f.is_zero() else Dyadic.zero()
     require_work((1 << (k - 2) * n) * n * n, "bias")
-    numerator = _bias_count(f.coeffs.astype(np.int64), n)
+    mats = f.coeffs.reshape(1, n, -1)
+    vectors = gf2.all_vectors(n) if k > 2 else None
+    for _ in range(k - 2):
+        # (a, i, rest) -> (a, v, rest) -> (a * 2^n + v, next axis, rest / n)
+        mats = gf2.matmul(vectors, mats).reshape(-1, n, mats.shape[2] // n)
+    numerator = sum(1 << (n - gf2.rank(m)) for m in mats)
     return Dyadic(numerator, (k - 1) * n)
-
-
-def _bias_count(t: np.ndarray, n: int) -> int:
-    """Number of assignments of all but the last variable whose contraction
-    is the zero linear form (tensor has >= 2 axes)."""
-    if t.ndim == 2:
-        return 1 << (n - gf2.rank(t.astype(np.uint8)))
-    total = 0
-    vectors = gf2.all_vectors(n).astype(np.int64)
-    for v in vectors:
-        total += _bias_count(np.tensordot(v, t, axes=([0], [0])) % 2, n)
-    return total
 
 
 @dataclass(frozen=True)
@@ -426,18 +419,16 @@ def quadratic_variety_fraction(rhos) -> Dyadic:
 
 
 def quadratic_rank_hypothesis(rhos) -> int:
-    """Minimum rank over nonzero combinations of rho_i and rho_i∘(swap)."""
-    mats = [r.coeffs for r in rhos] + [r.coeffs.T for r in rhos]
+    """Minimum rank over nonzero combinations of rho_i and rho_i∘(swap).
+
+    Cost: 2^{2m} * max(n^2, 2m) cells, the combinations and their
+    ``all_vectors`` coefficient table.
+    """
     n = rhos[0].dim
-    best = None
-    for mask in range(1, 1 << len(mats)):
-        acc = np.zeros((n, n), dtype=np.uint8)
-        for i in range(len(mats)):
-            if (mask >> i) & 1:
-                acc ^= mats[i]
-        r = gf2.rank(acc)
-        best = r if best is None else min(best, r)
-    return best if best is not None else 0
+    mats = [r.coeffs.reshape(-1) for r in rhos] + [r.coeffs.T.reshape(-1) for r in rhos]
+    require_work((1 << len(mats)) * max(n * n, len(mats)), "quadratic_rank_hypothesis")
+    combos = gf2.matmul(gf2.all_vectors(len(mats))[1:], np.stack(mats))
+    return min(gf2.rank(c.reshape(n, n)) for c in combos)
 
 
 # ---------------------------------------------------------------------------

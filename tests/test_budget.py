@@ -51,6 +51,10 @@ CASES = {
         gf2.Subspace.from_spanning([gf2.unit(4, 0)], 4),
     )),
     "bias": (rankbias.bias, (forms.random_form(10, 4, _RNG),)),
+    "quadratic_rank_hypothesis": (rankbias.quadratic_rank_hypothesis, ([forms.zero_form(3, 2)] * 12,)),
+    "quadratic_rank_hypothesis vector table": (
+        rankbias.quadratic_rank_hypothesis, ([forms.zero_form(2, 2)] * 11,)
+    ),
     "box_power": (gowers.box_power, (np.ones((65, 64)),)),
     "change_basis": (decomp.change_basis, ([forms.zero_form(2, 1)] * 2, _WIDE_TABLES)),
     "slice_rewrite": (decomp.slice_rewrite, (_CERT.target, _CERT, decomp.DownSet.all_nontrivial(2))),
@@ -60,7 +64,6 @@ CASES = {
 
 @pytest.mark.parametrize("engine, args", CASES.values(), ids=CASES.keys())
 def test_refused_fast_before_allocating(engine, args):
-    np.unique([0])  # a first call imports numpy.ma, which is not the engine's work
     tracemalloc.start()
     try:
         start = time.perf_counter()

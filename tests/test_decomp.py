@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gowers_forms import decomp, forms, gf2
 from gowers_forms.errors import CertificateInvalid
@@ -11,6 +13,7 @@ from gowers_forms.decomp import (
     PointConstraints,
     all_partitions,
     canon_partition,
+    change_basis,
     change_basis_forms,
     extract_coefficients,
     find_point,
@@ -182,7 +185,67 @@ class TestExtractCoefficients:
         assert out[(0, 0)] == planted[(0, 0)]
 
 
+def change_basis_oracle(gamma_tables):
+    """Incremental oracle for change_basis: greedy independent columns,
+    kept reduced one at a time, then the completion to a basis of F_2^r by
+    one rank test per unit vector.  Returns (chosen columns, basis matrix)."""
+    r = gamma_tables.shape[0]
+    chosen, reduced = [], []
+    for col in range(gamma_tables.shape[1]):
+        red = gamma_tables[:, col].copy()
+        for row in reduced:
+            if red[int(np.nonzero(row)[0][0])]:
+                red ^= row
+        if red.any():
+            chosen.append(col)
+            reduced.append(red)
+            reduced.sort(key=lambda row: int(np.nonzero(row)[0][0]))
+    v_mat = np.zeros((r, r), dtype=np.uint8)
+    v_mat[: len(chosen)] = gamma_tables[:, chosen].T
+    fill = len(chosen)
+    for j in range(r):
+        if fill == r:
+            break
+        cand = v_mat[: fill + 1].copy()
+        cand[fill] = gf2.unit(r, j)
+        if gf2.rank(cand) == fill + 1:
+            v_mat[fill] = cand[fill]
+            fill += 1
+    return chosen, v_mat
+
+
+@st.composite
+def gamma_tables(draw):
+    """r <= 6 tables whose rows are zero, repeats, sums of earlier rows or
+    fresh bits."""
+    r = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 16))
+    rows = []
+    for i in range(r):
+        kind = draw(st.sampled_from(["zero", "repeat", "sum", "fresh"] if i else ["zero", "fresh"]))
+        if kind == "zero":
+            row = np.zeros(cols, dtype=np.uint8)
+        elif kind == "repeat":
+            row = rows[draw(st.integers(0, i - 1))].copy()
+        elif kind == "sum":
+            row = rows[draw(st.integers(0, i - 1))] ^ rows[draw(st.integers(0, i - 1))]
+        else:
+            row = np.array(draw(st.lists(st.integers(0, 1), min_size=cols, max_size=cols)), dtype=np.uint8)
+        rows.append(row)
+    return np.stack(rows)
+
+
 class TestChangeBasis:
+    @given(gamma_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_incremental_oracle(self, tables):
+        cb = change_basis([zero_form(2, 1)] * tables.shape[0], tables)
+        chosen, v_mat = change_basis_oracle(tables)
+        assert cb.s == len(chosen)
+        assert cb.witnesses == chosen
+        assert np.array_equal(cb.beta_combos, v_mat[: len(chosen)])
+        assert np.array_equal(cb.gamma_combos, gf2.invert(v_mat))
+
     def test_single_zero_gamma(self):
         rng = np.random.default_rng(4)
         cb = change_basis_forms([random_form(3, 1, rng)], [zero_form(3, 2)])
@@ -215,8 +278,8 @@ class TestChangeBasis:
                         acc = acc + betas[j]
                 assert acc == cb.tilde_betas[i]
             # (b) verified inside change_basis_forms by assertion; re-check here
-            left = decomp._product_sum(betas, gammas, 2, 2, n)
-            right = decomp._product_sum(cb.tilde_betas, cb.tilde_gammas, 2, 2, n)
+            left = decomp._product_sum(betas, gammas, n, 4)
+            right = decomp._product_sum(cb.tilde_betas, cb.tilde_gammas, n, 4)
             assert np.array_equal(left, right)
             # (c) delta witnesses
             for i in range(cb.s):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gowers_forms import gf2
+from gowers_forms.errors import DimensionMismatch
 
 
 def span_of(rows, n):
@@ -109,6 +110,12 @@ class TestSubspace:
         for x_int in range(1 << 6):
             x = gf2.vec_from_int(x_int, 6)
             assert u.contains(x) == (x.tobytes() in span)
+
+    def test_membership_rejects_wrong_length(self):
+        u = gf2.Subspace.from_spanning([gf2.unit(4, 0)], 4)
+        for v in ([1, 0, 0], [1, 0, 0, 0, 0]):
+            with pytest.raises(DimensionMismatch):
+                u.contains(v)
 
     def test_members_enumeration(self):
         u = gf2.Subspace.from_spanning([[1, 0, 1], [0, 1, 0]], 3)

@@ -2,8 +2,12 @@
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gowers_forms
 from gowers_forms.nonclassical import NonClassicalPoly, TorusValue
@@ -91,3 +95,30 @@ def test_bench_digest_encoding():
     assert gate.encode(TorusValue(3, 2)) == "3/2^2"
     q = NonClassicalPoly(2, 1, TorusValue(1, 1), (((0,), 0),))
     assert gate.encode(q) == "poly(2,1,1/2^1,(((0,), 0),))"
+
+
+def test_hot_paths_do_not_import_numpy_ma():
+    # numpy.ma costs milliseconds and about a megabyte on its first import;
+    # np.unique and its relatives pull it in.  numpy before 2.0 imports it
+    # with numpy itself, and then there is nothing to keep out
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "from gowers_forms import forms, gowers, nonclassical\n"
+        "f = forms.random_strongly_symmetric(3, 3, np.random.default_rng(0))\n"
+        "nonclassical.integrate(f)\n"
+        "gowers.PhaseFunction.from_signs([1, -1, -1, 1])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    with_numpy, after_hot_paths = out.stdout.split()
+    if with_numpy == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert after_hot_paths == "False"

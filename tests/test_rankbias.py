@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,29 @@ class TestBias:
         for _ in range(10):
             f = random_form(2, 4, rng)
             assert bias(f) == bias_naive(f)
+
+    @pytest.mark.parametrize("n, k", [(1, 2), (4, 2), (6, 2), (1, 5), (2, 5), (3, 5)])
+    def test_fast_equals_naive_k2_k5(self, n, k):
+        rng = np.random.default_rng(10 * n + k)
+        for _ in range(8):
+            f = random_form(n, k, rng)
+            assert bias(f) == bias_naive(f)
+
+    def test_bilinear_is_one_rank(self):
+        # k = 2 costs n^2: bias = 2^{-rank} with no table of the 2^n vectors.
+        # n = 16 is checked first, so a 2^n table fails the memory bound
+        # (4 MB) before n = 40 could ask for terabytes
+        rng = np.random.default_rng(3)
+        for n in (16, 40):
+            f = random_form(n, 2, rng)
+            tracemalloc.start()
+            try:
+                b = bias(f)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 16
+            assert b == Dyadic(1, gf2.rank(f.coeffs))
 
     def test_bias_positive_and_dyadic(self):
         rng = np.random.default_rng(2)
@@ -275,7 +299,30 @@ class TestPrankLowerBound:
             assert prank_lower_bound(cert.target) <= cert.size
 
 
+def quadratic_rank_oracle(rhos):
+    """Minimum rank over the nonzero combinations, one mask at a time."""
+    mats = [r.coeffs for r in rhos] + [r.coeffs.T for r in rhos]
+    best = None
+    for mask in range(1, 1 << len(mats)):
+        acc = np.zeros(mats[0].shape, dtype=np.uint8)
+        for i in range(len(mats)):
+            if (mask >> i) & 1:
+                acc ^= mats[i]
+        r = gf2.rank(acc)
+        best = r if best is None else min(best, r)
+    return best
+
+
 class TestQuadraticVariety:
+    def test_rank_hypothesis_matches_mask_oracle(self):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            n, m = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            rhos = [random_form(n, 2, rng) for _ in range(m)]
+            if rng.random() < 0.3:
+                rhos.append(MultilinearForm(n, 2, rhos[0].coeffs.T))
+            assert quadratic_rank_hypothesis(rhos) == quadratic_rank_oracle(rhos)
+
     def test_no_constraints(self):
         assert quadratic_variety_fraction([]) == Dyadic.one()
 
