@@ -49,6 +49,19 @@ def vec_to_int(v) -> int:
     return out
 
 
+def point_index(x, n: int) -> int:
+    """The index in [0, 2^n) of a point of F_2^n given as that index or as a
+    0/1 vector of length n."""
+    if isinstance(x, (int, np.integer)):
+        if not 0 <= x < 1 << n:
+            raise DimensionMismatch(f"point {x} outside F_2^{n}")
+        return int(x)
+    v = np.asarray(x)
+    if v.shape != (n,) or not ((v == 0) | (v == 1)).all():
+        raise DimensionMismatch(f"a point of F_2^{n} needs {n} entries in {{0, 1}}")
+    return vec_to_int(v)
+
+
 def all_vectors(n: int) -> np.ndarray:
     """All 2^n vectors as a (2^n, n) matrix, row i = vec_from_int(i, n)."""
     idx = np.arange(1 << n, dtype=np.uint32)

@@ -14,6 +14,7 @@ Floats come from one final dot product, whose error bound is reported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,13 +24,7 @@ from . import forms, gf2
 from .dyadic import Dyadic
 from .errors import BudgetExceeded, DimensionMismatch, StepFailed, require_work
 from .forms import MultilinearForm
-from .nonclassical import (
-    NonClassicalPoly,
-    TorusFunction,
-    additive_derivative,
-    derivative_tables,
-    poly_to_table,
-)
+from .nonclassical import TorusFunction, derivative_tables
 from .rankbias import PrankCertificate, bias, require_valid
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -37,63 +32,19 @@ _EPS = float(np.finfo(np.float64).eps)
 _INT64_BITS = 62  # exact sums whose l1 norm stays below 2^62 fit in int64
 
 
-@dataclass(frozen=True)
-class PhaseFunction:
-    """x -> exp(2 pi i phases(x)) with exact dyadic phases."""
-
-    phases: TorusFunction
-
-    @property
-    def n(self) -> int:
-        return self.phases.n
-
-    @staticmethod
-    def one(n: int) -> "PhaseFunction":
-        return PhaseFunction(TorusFunction.zeros(n))
-
-    @staticmethod
-    def from_signs(signs) -> "PhaseFunction":
-        arr = np.asarray(signs, dtype=np.int64)
-        n = int(arr.shape[0]).bit_length() - 1
-        if arr.shape != (1 << n,) or not (np.abs(arr) == 1).all():
-            raise DimensionMismatch("signs must be a +-1 table of length 2^n")
-        return PhaseFunction(TorusFunction(n, (1 - arr) // 2, 1))
-
-    @staticmethod
-    def from_poly(q: NonClassicalPoly) -> "PhaseFunction":
-        return PhaseFunction(poly_to_table(q))
-
-    @property
-    def is_pm1(self) -> bool:
-        return self.phases.log2_den <= 1
-
-    def complex_table(self) -> np.ndarray:
-        m = self.phases.log2_den
-        angles = 2.0 * np.pi * self.phases.nums / (1 << m)
-        return np.cos(angles) + 1j * np.sin(angles)
-
-    def shift(self, a) -> "PhaseFunction":
-        idx = gf2.vec_to_int(a) if not isinstance(a, (int, np.integer)) else int(a)
-        xor = np.arange(1 << self.n) ^ idx
-        return PhaseFunction(TorusFunction(self.n, self.phases.nums[xor], self.phases.log2_den))
+# phases are torus-valued tables; the name is kept for callers of this module
+PhaseFunction = TorusFunction
 
 
-def mder(f: PhaseFunction, a) -> PhaseFunction:
-    """Multiplicative derivative: x -> f(x + a) * conj(f(x))."""
-    return PhaseFunction(additive_derivative(f.phases, a))
-
-
-def restrict_phase(f: PhaseFunction, u: gf2.Subspace, shift=None) -> "PhaseFunction":
+def restrict_phase(f: TorusFunction, u: gf2.Subspace, shift=None) -> TorusFunction:
     """The function c -> f(from_coords(c) + shift) on U's coordinates."""
     if u.ambient_dim != f.n:
         raise DimensionMismatch("subspace ambient mismatch")
     if u.dim == 0:
         raise DimensionMismatch("cannot restrict to the zero subspace")
-    w = 0 if shift is None else (
-        gf2.vec_to_int(shift) if not isinstance(shift, (int, np.integer)) else int(shift)
-    )
+    w = 0 if shift is None else gf2.point_index(shift, f.n)
     idx = (u.members().astype(np.int64) @ (1 << np.arange(f.n))) ^ w
-    return PhaseFunction(TorusFunction(u.dim, f.phases.nums[idx], f.phases.log2_den))
+    return TorusFunction(u.dim, f.nums[idx], f.log2_den)
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +52,9 @@ def restrict_phase(f: PhaseFunction, u: gf2.Subspace, shift=None) -> "PhaseFunct
 # ---------------------------------------------------------------------------
 
 
-def _zeta_level(f: PhaseFunction) -> int:
+def _zeta_level(f: TorusFunction) -> int:
     """L = 2^{m-1} for the phase's 2^m-th roots of unity (L = 1 for +-1)."""
-    return 1 << (max(f.phases.log2_den, 1) - 1)
+    return 1 << (max(f.log2_den, 1) - 1)
 
 
 def _require_int64(bits: int, what: str) -> None:
@@ -183,7 +134,7 @@ class NormResult:
         return self.power_exact == 1
 
 
-def gowers_norm(f: PhaseFunction, k: int) -> NormResult:
+def gowers_norm(f: TorusFunction, k: int) -> NormResult:
     """Uniformity norm of order k >= 1: with g_p over prefixes p of k - 2
     shifts, ||f||_{U^k}^{2^k} = 2^{-(k+2)n} sum_p sum_l |g_p^(l)|^4 for k >= 2,
     and |f^(0)|^2 / 4^n for k = 1.  Cost: 2^{(k-1)n} * L^2 coefficient products."""
@@ -194,10 +145,10 @@ def gowers_norm(f: PhaseFunction, k: int) -> NormResult:
     level = _zeta_level(f)
     require_work((1 << (k - 1) * n) * level * level, "U^k power")
     if k == 1:
-        fhat = _char_sums(f.phases.nums[None, :], level)[0]
+        fhat = _char_sums(f.nums[None, :], level)[0]
         total, bits = _mul(fhat, _conj(fhat)), 2 * n
     else:
-        g = derivative_tables(f.phases, k - 2)
+        g = derivative_tables(f, k - 2)
         ghat = walsh_hadamard(_zeta_powers(g.T, level))
         square = _mul(ghat, _conj(ghat))
         total, bits = _mul(square, square).sum(axis=(0, 1)), (k + 2) * n
@@ -230,37 +181,19 @@ def box_norm(table: np.ndarray) -> float:
 
 
 def box_power(table: np.ndarray) -> float:
-    table = np.asarray(table)
-    corners = {bits: table for bits in range(1 << table.ndim)}
-    return box_mixed_average(corners, table.shape).real
-
-
-def box_mixed_average(tables: dict, shape) -> complex:
-    """The Gowers-Cauchy-Schwarz mixed average: one table per subset of axes.
-    Corner ``bits`` reads axis i at x_i if bit i is set, else at y_i, and is
-    conjugated when it has an odd number of set bits.
-    Cost: (|X_1| ... |X_k|)^2 * 2^k corner values."""
-    k = len(shape)
-    pairs = 1
-    for s in shape:
-        pairs *= s * s
-    require_work(pairs << k, "box mixed average")
-    corners = []
-    for bits in range(1 << k):
-        t = np.asarray(tables[bits], dtype=np.complex128)
-        corners.append((t.conj() if bin(bits).count("1") % 2 else t)[None])
-    # einsum takes at most 31 operands: fold the first box axis of paired
-    # corners into the leading index that all corners share
-    while len(corners) > 16:
-        corners = [
-            (hi[:, :, None] * lo[:, None, :]).reshape(-1, *hi.shape[2:])
-            for lo, hi in zip(corners[0::2], corners[1::2])
-        ]
-    axes = corners[0].ndim - 1
-    operands = []
-    for bits, c in enumerate(corners):
-        operands += [c, [0] + [1 + 2 * i + ((bits >> i) & 1) for i in range(axes)]]
-    return complex(np.einsum(*operands, [])) / pairs
+    """The 2^k-th power of the box norm, by the pair recursion
+    ||T||^{2^k} = E_{x_1, y_1} ||T(x_1, .) conj T(y_1, .)||^{2^{k-1}}, down to
+    ||g||^2 = |E g|^2 on the last axis.  Cost: (|X_1| ... |X_{k-1}|)^2 * |X_k|
+    values."""
+    shape = np.shape(table)
+    if not shape:
+        raise DimensionMismatch("a box table needs at least one axis")
+    require_work(math.prod(shape[:-1]) ** 2 * shape[-1], "box power")
+    t = np.asarray(table, dtype=np.complex128)[None]  # axis 0: the pairs so far
+    while t.ndim > 2:
+        t = (t[:, :, None] * t[:, None].conj()).reshape(-1, *t.shape[2:])
+    means = t.mean(axis=1)
+    return float((means.real**2 + means.imag**2).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +224,7 @@ def _correlation_cost(n: int, k: int, level: int) -> int:
     return max(1 << k * n, (1 << (k - 1) * n) * level * level)
 
 
-def correlation(f: PhaseFunction, alpha: MultilinearForm) -> CorrelationReport:
+def correlation(f: TorusFunction, alpha: MultilinearForm) -> CorrelationReport:
     """2^{-(k+1)n} sum_p |g_p^(l_p)|^2 over prefixes p of k - 1 shifts, with
     l_p = alpha(p, .) read from a histogram of the exponents of g_p(x) (-1)^{l_p.x}.
     Cost: max(2^{kn}, 2^{(k-1)n} * L^2)."""
@@ -302,7 +235,7 @@ def correlation(f: PhaseFunction, alpha: MultilinearForm) -> CorrelationReport:
     _require_int64(bits, "correlation")
     level = _zeta_level(f)
     require_work(_correlation_cost(n, k, level), "correlation")
-    exponents = derivative_tables(f.phases, k - 1)
+    exponents = derivative_tables(f, k - 1)
     table = forms.truth_table(alpha).reshape(exponents.shape)
     exponents += np.multiply(table, level, dtype=np.int64)  # (-1)^{l_p.x} = zeta^{L alpha(p, x)}
     ghat = _char_sums(exponents, level)
@@ -321,7 +254,7 @@ def _monomial_codes(n: int, k: int) -> np.ndarray:
 
 
 def spectrum_search(
-    f: PhaseFunction, k: int, threshold: float, candidates=None
+    f: TorusFunction, k: int, threshold: float, candidates=None
 ) -> list[tuple[MultilinearForm, CorrelationReport]]:
     """All forms whose correlation magnitude reaches the threshold, sorted
     descending, over the candidates or else over the full form space.  The
@@ -343,7 +276,7 @@ def spectrum_search(
     require_work((1 << k * n) * level * level, "spectrum sums")
     # the check above bounds kn by 26, so n^k is small enough to shift by
     require_work((n**k << n**k) * level, "form space (supply candidates)")
-    ghat = walsh_hadamard(_zeta_powers(derivative_tables(f.phases, k - 1).T, level))
+    ghat = walsh_hadamard(_zeta_powers(derivative_tables(f, k - 1).T, level))
     sums = walsh_hadamard(_mul(ghat, _conj(ghat)))  # axes (a, p, L)
     sums = sums.transpose(1, 0, 2).reshape(-1, level)  # row-major (p, a)
     pushed = np.zeros((1 << n**k, level), dtype=np.int64)
@@ -361,7 +294,7 @@ def spectrum_search(
 
 
 def lowrank_replace_check(
-    f: PhaseFunction,
+    f: TorusFunction,
     alpha: MultilinearForm,
     beta: MultilinearForm,
     diff_cert: PrankCertificate,
@@ -398,8 +331,8 @@ class RestrictReport:
 
 
 def subspace_restrict(
-    f: PhaseFunction, alpha: MultilinearForm, u: gf2.Subspace
-) -> tuple[PhaseFunction, RestrictReport]:
+    f: TorusFunction, alpha: MultilinearForm, u: gf2.Subspace
+) -> tuple[TorusFunction, RestrictReport]:
     """A translate of f restricted to U preserving the derivative correlation.
 
     The averaging argument guarantees some coset shift works; all shifts from
@@ -433,7 +366,7 @@ def subspace_restrict(
 
 
 def symmetry_argument_check(
-    f: PhaseFunction, alpha: MultilinearForm, pi: forms.Permutation
+    f: TorusFunction, alpha: MultilinearForm, pi: forms.Permutation
 ) -> dict:
     """Correlation magnitude against the bias of alpha + alpha∘pi."""
     rep = correlation(f, alpha)
@@ -461,7 +394,7 @@ def sumset4_verify(points, v: gf2.Subspace, n: int | None = None) -> bool:
     require_work(n << n, "sumset4_verify")
     ind = np.zeros(1 << n, dtype=np.int64)
     for x in pts:
-        ind[gf2.vec_to_int(x) if not isinstance(x, (int, np.integer)) else int(x)] = 1
+        ind[gf2.point_index(x, n)] = 1
     if not ind.any():
         return False
     spec = walsh_hadamard(ind)
@@ -473,12 +406,8 @@ def sumset4_verify(points, v: gf2.Subspace, n: int | None = None) -> bool:
     four = walsh_hadamard(spec2 * spec2)
     if (four % (1 << n)).any():
         raise StepFailed("sumset4_verify", "A + A + A + A counts are not integers")
-    four_count = four // (1 << n)
-    for c in range(1 << v.dim):
-        x = v.from_coords(gf2.vec_from_int(c, v.dim)) if v.dim else gf2.zeros(n)
-        if four_count[gf2.vec_to_int(x)] <= 0:
-            return False
-    return True
+    members = v.members().astype(np.int64) @ (1 << np.arange(v.ambient_dim))
+    return bool((four[members] > 0).all())
 
 
 def step3_zero_on_subspace_check(rho: MultilinearForm, u: gf2.Subspace) -> dict:

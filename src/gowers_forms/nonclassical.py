@@ -56,9 +56,20 @@ class TorusFunction:
     def zeros(n: int) -> "TorusFunction":
         return TorusFunction(n, np.zeros(1 << n, dtype=np.int64), 0)
 
+    @staticmethod
+    def from_signs(signs) -> "TorusFunction":
+        arr = np.asarray(signs, dtype=np.int64)
+        n = int(arr.shape[0]).bit_length() - 1
+        if arr.shape != (1 << n,) or not (np.abs(arr) == 1).all():
+            raise DimensionMismatch("signs must be a +-1 table of length 2^n")
+        return TorusFunction(n, (1 - arr) // 2, 1)
+
+    @staticmethod
+    def from_poly(q: "NonClassicalPoly") -> "TorusFunction":
+        return poly_to_table(q)
+
     def value_at(self, x) -> TorusValue:
-        idx = gf2.vec_to_int(x) if not isinstance(x, (int, np.integer)) else int(x)
-        return TorusValue(int(self.nums[idx]), self.log2_den)
+        return TorusValue(int(self.nums[gf2.point_index(x, self.n)]), self.log2_den)
 
     def values(self) -> list[TorusValue]:
         return [TorusValue(int(v), self.log2_den) for v in self.nums]
@@ -75,15 +86,15 @@ class TorusFunction:
         )
 
     def __hash__(self):
-        return hash((self.n, self.log2_den, self.nums.tobytes()))
+        # equal tables may differ in log2_den: hash at the least denominator
+        low = int(np.bitwise_or.reduce(self.nums)) | (1 << self.log2_den)
+        t = (low & -low).bit_length() - 1
+        return hash((self.n, self.log2_den - t, (self.nums >> t).tobytes()))
 
 
 def additive_derivative(f: TorusFunction, a) -> TorusFunction:
     """f(x + a) - f(x), exact, pointwise mod 1."""
-    idx = gf2.vec_to_int(a) if not isinstance(a, (int, np.integer)) else int(a)
-    if idx >= (1 << f.n):
-        raise DimensionMismatch("shift outside the group")
-    xor = np.arange(1 << f.n) ^ idx
+    xor = np.arange(1 << f.n) ^ gf2.point_index(a, f.n)
     return TorusFunction(f.n, f.nums[xor] - f.nums, f.log2_den)
 
 

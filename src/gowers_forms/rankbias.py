@@ -402,14 +402,18 @@ class RankProxyPolicy:
 # ---------------------------------------------------------------------------
 
 
+def _common_bilinear_dim(rhos) -> int:
+    """The dimension shared by a nonempty list of bilinear forms."""
+    if not rhos or any(r.arity != 2 or r.dim != rhos[0].dim for r in rhos):
+        raise DimensionMismatch("need one or more bilinear forms on a common space")
+    return rhos[0].dim
+
+
 def quadratic_variety_fraction(rhos) -> Dyadic:
     """Exact fraction of u with rho_i(u, u) = 0 for every i, by enumeration."""
     if not rhos:
         return Dyadic.one()
-    n = rhos[0].dim
-    for r in rhos:
-        if r.arity != 2 or r.dim != n:
-            raise DimensionMismatch("need bilinear forms on a common space")
+    n = _common_bilinear_dim(rhos)
     e = gf2.all_vectors(n).astype(np.int64)
     good = np.ones(1 << n, dtype=bool)
     for r in rhos:
@@ -424,7 +428,7 @@ def quadratic_rank_hypothesis(rhos) -> int:
     Cost: 2^{2m} * max(n^2, 2m) cells, the combinations and their
     ``all_vectors`` coefficient table.
     """
-    n = rhos[0].dim
+    n = _common_bilinear_dim(rhos)
     mats = [r.coeffs.reshape(-1) for r in rhos] + [r.coeffs.T.reshape(-1) for r in rhos]
     require_work((1 << len(mats)) * max(n * n, len(mats)), "quadratic_rank_hypothesis")
     combos = gf2.matmul(gf2.all_vectors(len(mats))[1:], np.stack(mats))

@@ -20,6 +20,14 @@ def span_of(rows, n):
     return vs
 
 
+def test_point_index():
+    assert gf2.point_index(5, 3) == gf2.point_index(np.int64(5), 3) == 5
+    assert gf2.point_index([1, 0, 1], 3) == gf2.point_index(np.array([1, 0, 1], np.uint8), 3) == 5
+    for bad in (-1, 8, [1, 0], [1, 0, 1, 0], [2, 0, 0], [[1, 0, 1]], 1.0):
+        with pytest.raises(DimensionMismatch):
+            gf2.point_index(bad, 3)
+
+
 class TestRref:
     def test_identity(self):
         r, basis, t = gf2.rref(np.eye(3, dtype=np.uint8))

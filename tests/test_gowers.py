@@ -10,13 +10,10 @@ from gowers_forms import forms, gf2, gowers, nonclassical
 from gowers_forms.errors import BudgetExceeded, DimensionMismatch, SizeGuard
 from gowers_forms.forms import MultilinearForm, diagonal_form, dot_form, random_form
 from gowers_forms.gowers import (
-    PhaseFunction,
-    box_mixed_average,
     box_norm,
     correlation,
     gowers_norm,
     lowrank_replace_check,
-    mder,
     restrict_phase,
     spectrum_search,
     step3_zero_on_subspace_check,
@@ -25,16 +22,16 @@ from gowers_forms.gowers import (
     symmetry_argument_check,
     walsh_hadamard,
 )
-from gowers_forms.nonclassical import NonClassicalPoly, TorusFunction, integrate
+from gowers_forms.nonclassical import NonClassicalPoly, TorusFunction, additive_derivative, integrate
 from gowers_forms.rankbias import Factor, PrankCertificate, bias, empty_certificate, expand_terms
 
 
 def random_pm1(n, rng):
-    return PhaseFunction.from_signs(rng.choice([-1, 1], size=1 << n))
+    return TorusFunction.from_signs(rng.choice([-1, 1], size=1 << n))
 
 
 def random_dyadic_phase(n, depth, rng):
-    return PhaseFunction(TorusFunction(n, rng.integers(0, 1 << depth, size=1 << n), depth))
+    return TorusFunction(n, rng.integers(0, 1 << depth, size=1 << n), depth)
 
 
 def _cyclotomic_value(hist, bits):
@@ -52,8 +49,8 @@ def correlation_oracle(f, alpha):
     """Independent oracle: literal summation over all (x, shifts) tuples,
     counting the exponents of the derivative values times the form's sign."""
     n, k = f.n, alpha.arity
-    m = max(f.phases.log2_den, 1)
-    nums = [int(v) for v in f.phases.nums]
+    m = max(f.log2_den, 1)
+    nums = [int(v) for v in f.nums]
     hist = np.zeros(1 << m, dtype=np.int64)
     for tup in itertools.product(range(1 << n), repeat=k):
         sign = forms.evaluate(alpha, [gf2.vec_from_int(a, n) for a in tup])
@@ -74,7 +71,7 @@ def correlation_oracle(f, alpha):
 def gowers_power_oracle(f, k):
     """Independent oracle: the exponent histogram of every k-fold derivative
     table, built one shift at a time over all 2^{kn} shift tuples."""
-    m = max(f.phases.log2_den, 1)
+    m = max(f.log2_den, 1)
     mod = 1 << m
     hist = np.zeros(mod, dtype=np.int64)
     idx = np.arange(1 << f.n)
@@ -86,7 +83,7 @@ def gowers_power_oracle(f, k):
         for a in range(nums.size):
             rec((nums[idx ^ a] - nums) % mod, depth - 1)
 
-    rec(f.phases.nums.astype(np.int64), k)
+    rec(f.nums.astype(np.int64), k)
     return _cyclotomic_value(hist, (k + 1) * f.n)
 
 
@@ -109,7 +106,7 @@ def phase_and_order(draw, max_bits=12):
     n = draw(st.integers(1, max_bits // (k + 1)))
     depth = draw(st.integers(0, 3))
     nums = draw(st.lists(st.integers(0, (1 << depth) - 1), min_size=1 << n, max_size=1 << n))
-    return PhaseFunction(TorusFunction(n, np.array(nums, dtype=np.int64), depth)), k
+    return TorusFunction(n, np.array(nums, dtype=np.int64), depth), k
 
 
 def form_bits(n, k):
@@ -119,27 +116,30 @@ def form_bits(n, k):
 
 
 class TestMder:
+    """e(f)(x + a) conj e(f)(x) = e(D_a f): the additive derivative of the phase."""
+
     def test_constant(self):
-        f = PhaseFunction.one(3)
+        f = TorusFunction.zeros(3)
         for a in range(8):
-            assert mder(f, a).phases.is_zero()
+            assert additive_derivative(f, a).is_zero()
 
     def test_zero_shift(self):
         rng = np.random.default_rng(0)
         f = random_dyadic_phase(4, 3, rng)
-        assert mder(f, 0).phases.is_zero()
+        assert additive_derivative(f, 0).is_zero()
 
     def test_commute(self):
         rng = np.random.default_rng(1)
         f = random_dyadic_phase(4, 4, rng)
+        d = additive_derivative
         for _ in range(10):
             a, b = int(rng.integers(0, 16)), int(rng.integers(0, 16))
-            assert mder(mder(f, a), b).phases == mder(mder(f, b), a).phases
+            assert d(d(f, a), b) == d(d(f, b), a)
 
 
 class TestGowersNorm:
     def test_constant_norm_one(self):
-        f = PhaseFunction.one(3)
+        f = TorusFunction.zeros(3)
         for k in (1, 2, 3):
             r = gowers_norm(f, k)
             assert r.power_exact == 1 and r.exact_one()
@@ -154,8 +154,8 @@ class TestGowersNorm:
                 if rng.integers(0, 2):
                     coeffs.append((s, 0))
         q = NonClassicalPoly(n, k - 1, coeffs=tuple(coeffs))
-        f = PhaseFunction.from_poly(q)
-        assert f.is_pm1
+        f = TorusFunction.from_poly(q)
+        assert f.log2_den <= 1
         r = gowers_norm(f, k)
         assert r.power_exact == 1
 
@@ -181,9 +181,27 @@ class TestGowersNorm:
         # at every x: corr(e(q), sigma) = 1 and ||e(q)||_{U^k}^{2^k} = bias(sigma)
         n = int(np.random.default_rng(seed).integers(1, 12 // (k + 1) + 1))
         sigma = forms.random_strongly_symmetric(n, k, np.random.default_rng(seed))
-        f = PhaseFunction.from_poly(integrate(sigma))
+        f = TorusFunction.from_poly(integrate(sigma))
         assert correlation(f, sigma).exact == 1
         assert gowers_norm(f, k).power_exact == bias(sigma).as_fraction()
+
+
+def box_mixed_average(tables, shape):
+    """Literal oracle: the Gowers-Cauchy-Schwarz mixed average, one table per
+    subset of axes, summed over every (x, y) pair and all 2^k corners.  Corner
+    ``bits`` reads axis i at x_i if bit i is set, else at y_i, and is
+    conjugated when it has an odd number of set bits."""
+    k = len(shape)
+    total = 0j
+    for xs in itertools.product(*(range(s) for s in shape)):
+        for ys in itertools.product(*(range(s) for s in shape)):
+            prod = 1 + 0j
+            for bits in range(1 << k):
+                point = tuple(xs[i] if (bits >> i) & 1 else ys[i] for i in range(k))
+                value = complex(tables[bits][point])
+                prod *= value.conjugate() if bin(bits).count("1") % 2 else value
+            total += prod
+    return total / np.prod(shape, dtype=np.int64) ** 2
 
 
 class TestBoxNorm:
@@ -224,7 +242,7 @@ class TestBoxNorm:
         # the k-fold sum-evaluation of f has box power equal to the U^k power
         rng = np.random.default_rng(9)
         f = random_pm1(2, rng)
-        table = f.complex_table()
+        table = np.exp(2j * np.pi * f.nums / (1 << f.log2_den))
         k = 2
         grid = np.zeros((4, 4), dtype=np.complex128)
         for x in range(4):
@@ -232,10 +250,24 @@ class TestBoxNorm:
                 grid[x, y] = table[x ^ y]
         assert abs(gowers.box_power(grid) - gowers_norm(f, k).power) < 1e-9
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_box_power_matches_oracle(self, data):
+        shape = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        table = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        oracle = box_mixed_average({bits: table for bits in range(1 << len(shape))}, shape)
+        assert abs(gowers.box_power(table) - oracle.real) <= 1e-9 * max(1.0, abs(oracle))
+        assert abs(oracle.imag) <= 1e-9 * max(1.0, abs(oracle))
+
+    def test_box_power_needs_an_axis(self):
+        with pytest.raises(DimensionMismatch):
+            gowers.box_power(np.array(1.0))
+
 
 class TestCorrelation:
     def test_constant_with_zero_form(self):
-        f = PhaseFunction.one(3)
+        f = TorusFunction.zeros(3)
         rep = correlation(f, forms.zero_form(3, 2))
         assert rep.exact == 1
 
@@ -244,8 +276,8 @@ class TestCorrelation:
         # exact although the phase table is deeper than +-1
         sigma = diagonal_form(3, 3)
         q = integrate(sigma)
-        f = PhaseFunction.from_poly(q)
-        assert not f.is_pm1
+        f = TorusFunction.from_poly(q)
+        assert f.log2_den > 1
         rep = correlation(f, sigma)
         assert rep.exact == 1 and rep.err == 0
 
@@ -295,33 +327,33 @@ class TestCorrelation:
 
 class TestSpectrum:
     def test_constant_function(self):
-        f = PhaseFunction.one(2)
+        f = TorusFunction.zeros(2)
         found = spectrum_search(f, 2, 0.99)
         assert any(alpha.is_zero() and rep.magnitude() > 0.99 for alpha, rep in found)
 
     def test_constructed_sigma_found(self):
         sigma = dot_form(2)
         q = integrate(sigma)
-        f = PhaseFunction.from_poly(q)
+        f = TorusFunction.from_poly(q)
         found = spectrum_search(f, 2, 0.9)
         tops = [alpha for alpha, rep in found if rep.magnitude() > 0.99]
         assert sigma in tops
 
     def test_threshold_above_one_empty(self):
-        f = PhaseFunction.one(2)
+        f = TorusFunction.zeros(2)
         assert spectrum_search(f, 2, 1.1) == []
 
     def test_size_guard(self):
-        f = PhaseFunction.one(4)
+        f = TorusFunction.zeros(4)
         with pytest.raises(SizeGuard):
             spectrum_search(f, 3, 0.5)
 
     def test_bit_budget(self):
         # 2^{kn} derivative-table cells past the work limit, in both engines
         with pytest.raises(BudgetExceeded):
-            spectrum_search(PhaseFunction.one(1), 27, 0.5)
+            spectrum_search(TorusFunction.zeros(1), 27, 0.5)
         with pytest.raises(BudgetExceeded):
-            correlation(PhaseFunction.one(1), forms.zero_form(1, 27))
+            correlation(TorusFunction.zeros(1), forms.zero_form(1, 27))
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -330,7 +362,7 @@ class TestSpectrum:
         n = data.draw(st.integers(1, {1: 6, 2: 3, 3: 2, 4: 1}[k]))  # n^k <= 9: few hits
         depth = data.draw(st.integers(0, 3))
         nums = data.draw(st.lists(st.integers(0, (1 << depth) - 1), min_size=1 << n, max_size=1 << n))
-        f = PhaseFunction(TorusFunction(n, np.array(nums, dtype=np.int64), depth))
+        f = TorusFunction(n, np.array(nums, dtype=np.int64), depth)
         threshold = data.draw(st.floats(0.0, 1.0))
         found = spectrum_search(f, k, threshold)
         for alpha, rep in found:
@@ -346,7 +378,7 @@ class TestSpectrum:
     def test_candidate_list_path(self):
         rng = np.random.default_rng(13)
         sigma = diagonal_form(3, 3)
-        f = PhaseFunction.from_poly(integrate(sigma))
+        f = TorusFunction.from_poly(integrate(sigma))
         candidates = [sigma, forms.zero_form(3, 3), random_form(3, 3, rng)]
         found = spectrum_search(f, 3, 0.9, candidates=candidates)
         assert found and found[0][0] == sigma
@@ -366,7 +398,7 @@ class TestLowrankReplace:
     def test_planted_and_random_instances(self):
         rng = np.random.default_rng(15)
         sigma = diagonal_form(3, 4)
-        f = PhaseFunction.from_poly(integrate(sigma))
+        f = TorusFunction.from_poly(integrate(sigma))
         for _ in range(12):
             term = (
                 Factor((0,), random_form(3, 1, rng)),
@@ -393,7 +425,15 @@ class TestRestrictPhase:
         assert got.n == u.dim
         for c in range(1 << u.dim):
             x = gf2.vec_to_int(u.from_coords(gf2.vec_from_int(c, u.dim))) ^ w
-            assert got.phases.value_at(c) == f.phases.value_at(x)
+            assert got.value_at(c) == f.value_at(x)
+
+
+    def test_shift_outside_the_group_is_refused(self):
+        f = random_dyadic_phase(2, 3, np.random.default_rng(0))
+        u = gf2.Subspace.full(2)
+        for bad in (5, -1, [1], [1, 0, 0]):
+            with pytest.raises(DimensionMismatch):
+                restrict_phase(f, u, bad)
 
 
 class TestSubspaceRestrict:
@@ -402,13 +442,13 @@ class TestSubspaceRestrict:
         f = random_pm1(3, rng)
         alpha = random_form(3, 3, rng)
         fu, report = subspace_restrict(f, alpha, gf2.Subspace.full(3))
-        assert fu.phases == f.phases
+        assert fu == f
         assert report.corr_after == report.corr_before
 
     def test_codim_one_planted(self):
         # planted correlating f at n=4, k=4: restriction keeps correlation
         sigma = diagonal_form(4, 4)
-        f = PhaseFunction.from_poly(integrate(sigma))
+        f = TorusFunction.from_poly(integrate(sigma))
         u = gf2.Subspace.from_kernel_of([gf2.unit(4, 3)], 4)
         fu, report = subspace_restrict(f, sigma, u)
         assert report.corr_after >= report.corr_before - report.tolerance
@@ -420,9 +460,10 @@ class TestSubspaceRestrict:
         u = gf2.Subspace.from_kernel_of([gf2.unit(n, 2)], n)
         alpha = dot_form(n)
         q = integrate(alpha)
-        base = PhaseFunction.from_poly(q)
+        base = TorusFunction.from_poly(q)
         noise = gf2.unit(n, 2)
-        f = base.shift(noise)  # translate so the clean page sits off the subspace
+        # translate so the clean page sits off the subspace
+        f = TorusFunction(n, base.nums[np.arange(1 << n) ^ gf2.vec_to_int(noise)], base.log2_den)
         fu, report = subspace_restrict(f, alpha, u)
         assert report.corr_after >= report.corr_before - report.tolerance
 
@@ -438,7 +479,7 @@ class TestSymmetryArgument:
 
     def test_correlating_instance_reports_pair(self):
         sigma = diagonal_form(3, 3)
-        f = PhaseFunction.from_poly(integrate(sigma))
+        f = TorusFunction.from_poly(integrate(sigma))
         perturbed = sigma + forms.from_entries(3, 3, [(0, 1, 2)])
         rep = symmetry_argument_check(f, perturbed, forms.Permutation.transposition(3, 0, 1))
         assert 0 <= rep["c"] <= 1
@@ -455,6 +496,11 @@ class TestSumset4:
         n = 3
         assert sumset4_verify([0], gf2.Subspace.zero(n), n)
         assert not sumset4_verify([0], gf2.Subspace.full(n), n)
+
+    def test_points_outside_the_group_are_refused(self):
+        for bad in (5, -1, [1], [1, 0, 1]):
+            with pytest.raises(DimensionMismatch):
+                sumset4_verify([0, bad], gf2.Subspace.full(2), 2)
 
     def test_planted_bset(self):
         # dense random set at n=6 nearly always 4-covers the whole space

@@ -162,6 +162,26 @@ class TestTorusFunction:
     def test_zero_denominator_is_zero(self):
         assert TorusFunction(2, [1, 2, 3, 4], 0) == TorusFunction.zeros(2)
 
+    def test_equal_tables_hash_alike(self):
+        # equal at different denominators; log2_den itself stays as given
+        for a, b in [
+            (TorusFunction(1, [0, 2], 2), TorusFunction(1, [0, 1], 1)),
+            (TorusFunction(2, [0, 4, 8, 12], 4), TorusFunction(2, [0, 1, 2, 3], 2)),
+            (TorusFunction(2, [0, 0, 0, 0], 3), TorusFunction.zeros(2)),
+        ]:
+            assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert TorusFunction(1, [0, 2], 2).log2_den == 2
+        assert hash(TorusFunction(1, [0, 1], 2)) != hash(TorusFunction(1, [0, 1], 1))
+
+    def test_points_outside_the_group_are_refused(self):
+        t = TorusFunction(2, [0, 1, 2, 3], 2)
+        assert t.value_at([1, 0]) == t.value_at(1) == TorusValue(1, 2)
+        for bad in ([1], [1, 0, 0], [2, 0], 4, -1):
+            with pytest.raises(DimensionMismatch):
+                t.value_at(bad)
+            with pytest.raises(DimensionMismatch):
+                additive_derivative(t, bad)
+
 
 class TestEvaluatePoly:
     def test_zero(self):

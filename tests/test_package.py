@@ -75,9 +75,44 @@ def _bench_module(name):
     return importlib.import_module(name)
 
 
+def _bench_library_names(tree):
+    """Every gowers_forms module or name a bench file imports, and every
+    attribute chain it reads off an imported module, as (module, dotted name)."""
+    modules, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gowers_forms"):
+            for alias in node.names:
+                if node.module == "gowers_forms":
+                    modules[alias.asname or alias.name] = f"gowers_forms.{alias.name}"
+                    names.add((f"gowers_forms.{alias.name}", ""))
+                else:
+                    names.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in modules:
+            names.add((modules[node.id], ".".join(chain)))
+    return names
+
+
+def _resolves(module, dotted):
+    try:
+        value = importlib.import_module(module)
+    except ModuleNotFoundError:
+        return False
+    for attr in dotted.split(".") if dotted else ():
+        if not hasattr(value, attr):
+            return False
+        value = getattr(value, attr)
+    return True
+
+
 def test_bench_names_resolve():
-    # the benchmark's timing shims and digests name library functions and
-    # types; a simplification must keep every one of them
+    # the benchmark's timing shims, workloads and digests name library
+    # functions and types; a simplification must keep every one of them,
+    # such as gowers.PhaseFunction.from_poly in workloads.py
     spans = _bench_module("spans")
     missing = []
     for layer, functions in spans.SHIMS.items():
@@ -86,8 +121,15 @@ def test_bench_names_resolve():
             owner, _, attr = qualname.rpartition(".")
             home = getattr(module, owner, None) if owner else module
             if home is None or attr not in vars(home):
-                missing.append(f"{layer}.{qualname}")
-    assert not missing, f"bench shims name missing functions: {missing}"
+                missing.append(f"spans.py: {layer}.{qualname}")
+    found = set()
+    for path in sorted(BENCH.glob("*.py")):
+        names = _bench_library_names(ast.parse(path.read_text()))
+        found |= names
+        missing += [f"{path.name}: {m}.{d}" for m, d in sorted(names) if not _resolves(m, d)]
+    assert not missing, f"bench uses missing library names: {missing}"
+    assert ("gowers_forms.gowers", "PhaseFunction.from_poly") in found
+    assert ("gowers_forms.rankbias", "PrankCertificate") in found  # imported by gate.py
 
 
 def test_bench_digest_encoding():

@@ -326,6 +326,17 @@ class TestQuadraticVariety:
     def test_no_constraints(self):
         assert quadratic_variety_fraction([]) == Dyadic.one()
 
+    def test_rejects_what_is_not_a_family_of_bilinear_forms(self):
+        rng = np.random.default_rng(13)
+        mixed = [random_form(3, 2, rng), random_form(4, 2, rng)]
+        trilinear = [random_form(2, 3, rng)]
+        with pytest.raises(DimensionMismatch):
+            quadratic_rank_hypothesis([])
+        for rhos in (mixed, trilinear):
+            for engine in (quadratic_rank_hypothesis, quadratic_variety_fraction):
+                with pytest.raises(DimensionMismatch):
+                    engine(rhos)
+
     def test_alternating_form(self):
         m = np.zeros((4, 4), dtype=np.uint8)
         m[0, 1] = m[1, 0] = 1  # symmetric with zero diagonal: rho(u,u) == 0
